@@ -8,6 +8,7 @@ that training requires.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,6 +24,10 @@ __all__ = [
     "serialize_svmlight",
     "split",
 ]
+
+# guards the one-time build of a dataset's matrix forms, which threads
+# sharing a dataset (run_benchmark with jobs > 1) may request together
+_FORMS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -86,10 +91,28 @@ class SparseDataset:
     def nnz(self) -> int:
         return self.col_idx.size
 
+    def _forms(self) -> tuple[sp.csr_matrix, sp.csc_matrix]:
+        forms = self.__dict__.get("_cached_forms")
+        if forms is None:
+            with _FORMS_LOCK:
+                forms = self.__dict__.get("_cached_forms")
+                if forms is None:
+                    a = sp.csr_matrix(
+                        (self.values, self.col_idx, self.row_ptr),
+                        shape=(self.n, self.m),
+                        copy=False,
+                    )
+                    forms = (a, a.T)
+                    object.__setattr__(self, "_cached_forms", forms)
+        return forms
+
     def matrix(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (self.values, self.col_idx, self.row_ptr), shape=(self.n, self.m), copy=False
-        )
+        """A as CSR, built on first use and shared by every caller; do not mutate it."""
+        return self._forms()[0]
+
+    def matrix_t(self) -> sp.csc_matrix:
+        """A^T as the CSC view over the arrays of matrix(); shared like it."""
+        return self._forms()[1]
 
     def row(self, i: int):
         """(col_idx, values) views of one sample."""
@@ -112,12 +135,14 @@ class SparseDataset:
 
     def take_rows(self, rows: np.ndarray) -> "SparseDataset":
         rows = np.asarray(rows, dtype=np.int64)
-        counts = self.row_ptr[rows + 1] - self.row_ptr[rows]
+        if rows.size and (rows.min() < 0 or rows.max() >= self.n):
+            raise ValueError(f"row index outside [0, {self.n})")
+        starts = self.row_ptr[rows]
+        counts = self.row_ptr[rows + 1] - starts
         ptr = np.zeros(rows.size + 1, dtype=np.int64)
         np.cumsum(counts, out=ptr[1:])
-        picks = np.concatenate(
-            [np.arange(self.row_ptr[r], self.row_ptr[r + 1]) for r in rows]
-        ) if rows.size else np.empty(0, dtype=np.int64)
+        # entry j of output row i sits at starts[i] + (j - ptr[i]) in the source
+        picks = np.repeat(starts - ptr[:-1], counts) + np.arange(ptr[-1])
         return SparseDataset(
             ptr, self.col_idx[picks], self.values[picks], self.labels[rows], self.m
         )

@@ -2,10 +2,11 @@
 
 Every outer iteration solves (P^T P + rho Q^T Q) theta = rhs where
 P = [I 0] strips the bias and Q = [A 1] appends it. The operator is applied
-matrix-free: Q^T Q is never formed, only CSR products with A and A^T. For
-narrow problems a dense Cholesky factorization of the same matrix is cheaper
-than iterating; it is cached because the matrix depends only on the data and
-rho, not on the iterate.
+matrix-free: Q^T Q is never formed, only products with the dataset's cached
+A (CSR) and its transpose view A^T (CSC). For narrow problems a dense
+Cholesky factorization of the same matrix is cheaper than iterating; it is
+cached because the matrix depends only on the data and rho, not on the
+iterate.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ class RegularizedNormalOperator:
         self.rho = float(rho)
         self.dim = dataset.m + 1
         self._a = dataset.matrix()
+        self._at = dataset.matrix_t()
         self._cho = None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -61,7 +63,7 @@ class RegularizedNormalOperator:
         m = self.dim - 1
         qv = self._a @ v[:m] + v[m]
         out = np.empty(self.dim)
-        out[:m] = v[:m] + self.rho * (self._a.T @ qv)
+        out[:m] = v[:m] + self.rho * (self._at @ qv)
         out[m] = self.rho * qv.sum()
         return out
 
@@ -69,7 +71,7 @@ class RegularizedNormalOperator:
         """Materialize P^T P + rho Q^T Q; meant for narrow problems."""
         m = self.dim - 1
         mat = np.zeros((self.dim, self.dim))
-        mat[:m, :m] = np.eye(m) + self.rho * (self._a.T @ self._a).toarray()
+        mat[:m, :m] = np.eye(m) + self.rho * (self._at @ self._a).toarray()
         col = np.asarray(self._a.sum(axis=0)).ravel()
         mat[:m, m] = self.rho * col
         mat[m, :m] = self.rho * col

@@ -240,12 +240,11 @@ def margin(theta: ModelTheta, ds: SparseDataset) -> np.ndarray:
     """z_i = 1 - y_i (omega . x_i + b)."""
     if theta.m != ds.m:
         raise ValueError(f"model has {theta.m} features, dataset has {ds.m}")
-    return 1.0 - ds.labels * (ds.matrix() @ theta.omega + theta.b)
+    return _margin(theta.omega, theta.b, ds)
 
 
-def _margin_from_vector(theta_vec: np.ndarray, a, labels: np.ndarray) -> np.ndarray:
-    m = theta_vec.size - 1
-    return 1.0 - labels * (a @ theta_vec[:m] + theta_vec[m])
+def _margin(omega: np.ndarray, b: float, ds: SparseDataset) -> np.ndarray:
+    return 1.0 - ds.labels * (ds.matrix() @ omega + b)
 
 
 def objective_components(theta: ModelTheta, ds: SparseDataset, cfg: MpmConfig):
@@ -260,15 +259,14 @@ def majorization_rhs(theta_k: ModelTheta, ds: SparseDataset, cfg: MpmConfig) -> 
     """rho * Qbar^T (1 - Pi(1 - Qbar theta_k)), built matrix-free."""
     s = cfg.resolve_budget(ds.n)
     z = margin(theta_k, ds)
-    projected = project_omega_s(z, s).projected
-    return _rhs_from_projection(projected, ds.matrix(), ds.labels, cfg.rho, ds.m)
+    return _rhs(project_omega_s(z, s).projected, ds, cfg.rho)
 
 
-def _rhs_from_projection(projected, a, labels, rho, m) -> np.ndarray:
-    yu = labels * (1.0 - projected)
-    rhs = np.empty(m + 1)
-    rhs[:m] = rho * (a.T @ yu)
-    rhs[m] = rho * yu.sum()
+def _rhs(projected: np.ndarray, ds: SparseDataset, rho: float) -> np.ndarray:
+    yu = ds.labels * (1.0 - projected)
+    rhs = np.empty(ds.m + 1)
+    rhs[:ds.m] = rho * (ds.matrix_t() @ yu)
+    rhs[ds.m] = rho * yu.sum()
     return rhs
 
 
@@ -314,12 +312,12 @@ def mpm_train(ds: SparseDataset, cfg: MpmConfig) -> tuple[ModelTheta, TrainRepor
     Returns the final model and the full per-iteration report. Hitting
     max_outer reports termination="max_outer" instead of raising.
     """
+    if ds.n == 0:
+        raise ValueError("cannot train on an empty dataset (n = 0)")
     ds.assert_signed()
     n, m = ds.n, ds.m
     s = cfg.resolve_budget(n)
     rho = cfg.rho
-    a = ds.matrix()
-    labels = ds.labels
     op = RegularizedNormalOperator(ds, rho)
     use_dense = m < cfg.dense_threshold
     f_threshold = math.sqrt(n) * cfg.f_tol_factor
@@ -334,15 +332,14 @@ def mpm_train(ds: SparseDataset, cfg: MpmConfig) -> tuple[ModelTheta, TrainRepor
     termination = "max_outer"
     start = time.perf_counter()
     for k in range(1, cfg.max_outer + 1):
-        rhs = _rhs_from_projection(proj.projected, a, labels, rho, m)
+        rhs = _rhs(proj.projected, ds, rho)
         if use_dense:
             outcome = dense_solve(op, rhs)
         else:
             guess = theta if (cfg.cg_warm_start and k > 1) else None
             outcome = cg_solve(op, rhs, cfg.cg, x0=guess)
         theta = outcome.theta
-        z = _margin_from_vector(theta, a, labels)
-        proj = project_omega_s(z, s)
+        proj = project_omega_s(_margin(theta[:m], theta[m], ds), s)
         f_curr = 0.5 * float(theta[:m] @ theta[:m])
         p_curr = proj.dist_sq
         objective = f_curr + rho * p_curr

@@ -9,7 +9,8 @@ is a deterministic function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,20 +53,29 @@ class IndexPartition:
         return self.pivot_dropped.size > 0 and self.pivot_kept.size > 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectionResult:
-    """A projected vector, 0.5x its squared distance, and the index sets."""
+    """A projected vector, 0.5x its squared distance, and the index sets.
+
+    The index sets are built from a private copy of the input on first read
+    of `partition`; the training loop reads them only at termination.
+    """
 
     projected: np.ndarray
     dist_sq: float
-    partition: IndexPartition
+    source: np.ndarray = field(repr=False)
+    budget: int = field(repr=False)
+
+    @cached_property
+    def partition(self) -> IndexPartition:
+        return partition_indices(self.source, self.budget)
 
 
 def _as_margin_vector(z) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("vector contains non-finite entries")
     return z
 
@@ -114,15 +124,27 @@ def project_omega_s(z, s) -> ProjectionResult:
     dist_sq is 0.5 * ||z - projected||^2, summed over the zeroed entries in
     ascending index order.
     """
-    z = _as_margin_vector(z)
-    part = partition_indices(z, s)
-    drop = np.zeros(z.size, dtype=bool)
-    drop[part.pivot_dropped] = True
-    drop[part.dropped_small] = True
+    z = _as_margin_vector(z).copy()
+    n = z.size
+    s = _checked_budget(s, n)
+    positive = z > 0
     x = z.copy()
+    if np.count_nonzero(positive) <= s:
+        return ProjectionResult(x, 0.0, z, s)
+    if s == 0:
+        drop = positive
+    else:
+        # the cut value of partition_indices; the n - s entries outside the
+        # budget are those below it plus the highest-index ties at it
+        pivot = np.partition(z, n - s)[n - s]
+        below = z < pivot
+        drop = positive & below
+        tied_dropped = n - s - np.count_nonzero(below)
+        if tied_dropped:
+            drop[np.flatnonzero(z == pivot)[-tied_dropped:]] = True
     x[drop] = 0.0
     dist_sq = 0.5 * float(np.sum(z[drop] ** 2))
-    return ProjectionResult(x, dist_sq, part)
+    return ProjectionResult(x, dist_sq, z, s)
 
 
 def g_value(z, s) -> float:

@@ -194,6 +194,16 @@ def test_criterion_8_dense_path_reports_zero_cg(bundled_grid_reports):
     print(f"criterion 8: PASS - cg=0 on all {len(narrow)} narrow grid cells")
 
 
+def test_bundled_grid_counts_are_pinned(bundled_grid_reports):
+    """The reference protocol's exact outcome on the shipped grid; any change
+    to the loop's arithmetic or tie rule shows up in these counts."""
+    assert len(bundled_grid_reports) == 30
+    reports = [report for *_, report in bundled_grid_reports]
+    assert sum(r.outer_iters for r in reports) == 18185
+    assert sum(r.termination == "converged" for r in reports) == 12
+    assert sum(r.tie_at_termination for r in reports) == 6
+
+
 @pytest.mark.realdata
 def test_criterion_9_baseline_sanity():
     ds = load_real("heart", criterion=9)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import threading
 
 import numpy as np
 import pytest
@@ -111,6 +112,43 @@ def test_matrix_roundtrip():
     ds = parse_text(SIMPLE)
     dense = ds.matrix().toarray()
     np.testing.assert_array_equal(dense, [[0.5, 0.0, 1.25], [0.0, 2.0, 0.0]])
+
+
+def test_matrix_forms_are_built_once():
+    ds = parse_text(SIMPLE)
+    a = ds.matrix()
+    assert ds.matrix() is a
+    assert ds.matrix_t() is ds.matrix_t()
+    # the transpose is a view over the same arrays, not a copy
+    assert np.shares_memory(ds.matrix_t().data, a.data)
+    assert np.shares_memory(ds.matrix_t().indices, a.indices)
+    np.testing.assert_array_equal(ds.matrix_t().toarray(), a.toarray().T)
+
+
+def test_matrix_first_build_is_shared_across_threads():
+    ds = parse_text(SIMPLE * 50)
+    gate = threading.Barrier(4)
+    seen = []
+
+    def grab():
+        gate.wait()
+        seen.append(ds.matrix())
+
+    workers = [threading.Thread(target=grab) for _ in range(4)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join()
+    assert len(seen) == 4
+    assert all(a is ds.matrix() for a in seen)
+
+
+@pytest.mark.parametrize("rows", [[-1], [0, -2], [3], [0, 7]])
+def test_take_rows_rejects_rows_out_of_range(rows):
+    # a negative index would pair one row's features with another row's label
+    ds = parse_text(SIMPLE + "+1 1:4\n")
+    with pytest.raises(ValueError, match="row index"):
+        ds.take_rows(np.array(rows))
 
 
 def test_remap_labels():
@@ -249,3 +287,26 @@ def test_roundtrip_property(ds):
     buf.seek(0)
     again = parse_svmlight(buf, n_features=ds.m)
     assert ds.same_content(again)
+
+
+@settings(max_examples=80)
+@given(random_datasets(), st.data())
+def test_take_rows_matches_row_by_row_selection(ds, data):
+    rows = data.draw(
+        st.one_of(
+            st.just([]),
+            st.lists(st.integers(0, ds.n - 1), min_size=1, max_size=1),
+            st.lists(st.integers(0, ds.n - 1), max_size=12),
+        )
+    )
+    picked = ds.take_rows(np.array(rows, dtype=np.int64))
+    assert picked.n == len(rows)
+    assert picked.m == ds.m
+    np.testing.assert_array_equal(picked.labels, ds.labels[rows])
+    for out_i, src_i in enumerate(rows):
+        got_cols, got_vals = picked.row(out_i)
+        want_cols, want_vals = ds.row(src_i)
+        np.testing.assert_array_equal(got_cols, want_cols)
+        np.testing.assert_array_equal(got_vals, want_vals)
+    assert picked.row_ptr.dtype == np.int64
+    assert picked.col_idx.dtype == np.int64

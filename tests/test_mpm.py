@@ -378,6 +378,21 @@ def test_warm_start_run_still_converges_and_descends():
     assert np.all(drops <= 1e-10 * (1.0 + np.abs(vals[:-1])))
 
 
+@pytest.mark.parametrize("m", [3, 150])
+def test_empty_dataset_is_rejected_up_front(m):
+    # m = 3 would take the dense path, m = 150 the CG path
+    empty = SparseDataset(
+        row_ptr=np.zeros(1, dtype=np.int64),
+        col_idx=np.empty(0, dtype=np.int64),
+        values=np.empty(0),
+        labels=np.empty(0),
+        m=m,
+    )
+    for cfg in (MpmConfig(s=0), MpmConfig(sr=0.1)):
+        with pytest.raises(ValueError, match="empty dataset"):
+            mpm_train(empty, cfg)
+
+
 def test_unsigned_labels_are_rejected():
     ds = dense_dataset([[1.0], [2.0]], [0.0, 1.0])
     with pytest.raises(ValueError):

@@ -125,6 +125,16 @@ def test_fewer_positives_than_budget_is_identity():
     np.testing.assert_array_equal(res.partition.kept_above, [1])
 
 
+def test_partition_reflects_the_input_at_projection_time():
+    z = np.array([2.0, 2.0, 1.0, -1.0])
+    res = project_omega_s(z, 1)
+    z[:] = [-5.0, 7.0, 7.0, 7.0]
+    np.testing.assert_array_equal(res.projected, [2.0, 0.0, 0.0, -1.0])
+    np.testing.assert_array_equal(res.partition.pivot_kept, [0])
+    np.testing.assert_array_equal(res.partition.pivot_dropped, [1])
+    assert res.partition is res.partition
+
+
 def test_all_ones_keeps_first_s():
     n, s = 7, 3
     res = project_omega_s(np.ones(n), s)
@@ -290,3 +300,22 @@ def test_tie_rule_keeps_lowest_indices(zs):
         np.testing.assert_array_equal(
             z[part.pivot_kept], np.full(part.pivot_kept.size, z[part.pivot_kept[0]])
         )
+
+
+@settings(max_examples=300)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.integers(1, 12),
+        elements=st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]),
+    ),
+    st.data(),
+)
+def test_projection_zeroes_exactly_the_partition_zeroed_set(z, data):
+    # few distinct values, so cut-value ties are the common case
+    s = data.draw(st.integers(0, z.size))
+    res = project_omega_s(z, s)
+    expected = z.copy()
+    expected[partition_indices(z, s).zeroed()] = 0.0
+    np.testing.assert_array_equal(res.projected, expected)
+    assert res.dist_sq == 0.5 * float(np.sum((z - expected) ** 2))
