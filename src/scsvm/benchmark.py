@@ -240,15 +240,6 @@ def render_csv(rows, *, include_dcd: bool = False) -> str:
     return buf.getvalue()
 
 
-def write_csv(rows, target, *, include_dcd: bool = False) -> None:
-    text = render_csv(rows, include_dcd=include_dcd)
-    if hasattr(target, "write"):
-        target.write(text)
-        return
-    with open(target, "w", encoding="ascii") as fh:
-        fh.write(text)
-
-
 def _row_as_dict(row: BenchmarkRow) -> dict:
     ref = row.reference()
     out = {
@@ -289,12 +280,3 @@ def render_json(rows, *, indent: int | None = 2) -> str:
         "rows": [_row_as_dict(row) for row in rows],
     }
     return json.dumps(doc, indent=indent, allow_nan=False)
-
-
-def write_json(rows, target, *, indent: int | None = 2) -> None:
-    text = render_json(rows, indent=indent)
-    if hasattr(target, "write"):
-        target.write(text)
-        return
-    with open(target, "w", encoding="ascii") as fh:
-        fh.write(text)

@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -103,18 +104,30 @@ def _as_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-# (key, coercion, built-in default) for every knob the config file may set.
+def _field_defaults(cls, prefix: str = "") -> dict:
+    return {prefix + f.name: f.default for f in fields(cls)}
+
+
+# Built-in defaults come from the config dataclasses; only seed is the CLI's.
+KNOB_DEFAULTS = {
+    **_field_defaults(MpmConfig),
+    **_field_defaults(CgConfig, prefix="cg_"),
+    "seed": 42,
+}
+
+# (key, coercion, help) for every knob the config file may set; each is also
+# a flag named after the key.
 SOLVER_KNOBS = (
-    ("rho", float, 0.4),
-    ("f_tol_factor", float, 1e-3),
-    ("p_tol", float, 1e-3),
-    ("max_outer", int, 1000),
-    ("cg_tol", float, 1e-3),
-    ("cg_max_iter", int, 500),
-    ("dense_threshold", int, 100),
-    ("rho_growth", float, 1.0),
-    ("cg_warm_start", _as_bool, False),
-    ("seed", int, 42),
+    ("rho", float, "penalty parameter"),
+    ("f_tol_factor", float, "objective progress tolerance factor"),
+    ("p_tol", float, "penalty progress tolerance"),
+    ("max_outer", int, "outer iteration cap"),
+    ("cg_tol", float, "CG absolute residual tolerance"),
+    ("cg_max_iter", int, "CG iteration cap per solve"),
+    ("dense_threshold", int, "direct solver below this feature count"),
+    ("rho_growth", float, "geometric penalty growth factor, 1 disables"),
+    ("cg_warm_start", _as_bool, "start CG from the previous iterate"),
+    ("seed", int, "seed for splits and the baseline sweep order"),
 )
 KNOWN_KEYS = {name for name, _, _ in SOLVER_KNOBS} | {"s", "sr"}
 
@@ -126,26 +139,14 @@ def add_solver_flags(parser: argparse.ArgumentParser) -> None:
                        help="misclassification budget as a count")
     group.add_argument("--sr", type=float, default=None,
                        help="budget as a fraction of n in [0, 1] [0.1]")
-    group.add_argument("--rho", type=float, default=None,
-                       help="penalty parameter [0.4]")
-    group.add_argument("--f-tol-factor", type=float, default=None,
-                       help="objective progress tolerance factor [1e-3]")
-    group.add_argument("--p-tol", type=float, default=None,
-                       help="penalty progress tolerance [1e-3]")
-    group.add_argument("--max-outer", type=int, default=None,
-                       help="outer iteration cap [1000]")
-    group.add_argument("--cg-tol", type=float, default=None,
-                       help="CG absolute residual tolerance [1e-3]")
-    group.add_argument("--cg-max-iter", type=int, default=None,
-                       help="CG iteration cap per solve [500]")
-    group.add_argument("--dense-threshold", type=int, default=None,
-                       help="direct solver below this feature count [100]")
-    group.add_argument("--rho-growth", type=float, default=None,
-                       help="geometric penalty growth factor, 1 disables [1]")
-    group.add_argument("--cg-warm-start", action="store_const", const=True,
-                       default=None, help="start CG from the previous iterate")
-    group.add_argument("--seed", type=int, default=None,
-                       help="seed for splits and the baseline sweep order [42]")
+    for name, coerce, text in SOLVER_KNOBS:
+        flag = "--" + name.replace("_", "-")
+        if coerce is _as_bool:
+            group.add_argument(flag, action="store_const", const=True,
+                               default=None, help=text)
+        else:
+            group.add_argument(flag, type=coerce, default=None,
+                               help=f"{text} [{KNOB_DEFAULTS[name]:g}]")
 
 
 def merge_solver_config(args) -> tuple[MpmConfig, int]:
@@ -156,7 +157,7 @@ def merge_solver_config(args) -> tuple[MpmConfig, int]:
         raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
     merged = {}
-    for name, coerce, default in SOLVER_KNOBS:
+    for name, coerce, _ in SOLVER_KNOBS:
         flag_value = getattr(args, name)
         if flag_value is not None:
             merged[name] = flag_value
@@ -166,7 +167,7 @@ def merge_solver_config(args) -> tuple[MpmConfig, int]:
             except ValueError as exc:
                 raise CliError(f"config key {name}: {exc}") from exc
         else:
-            merged[name] = default
+            merged[name] = KNOB_DEFAULTS[name]
 
     if args.s is not None and args.sr is not None:
         raise CliError("give exactly one of --s and --sr")

@@ -2,40 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import SparseDataset
 from .mpm import ModelTheta, margin
 
 __all__ = [
-    "Prediction",
     "accuracy",
     "decision_scores",
     "error_rate",
-    "predict",
     "predicted_labels",
     "train_misclassified_count",
 ]
-
-
-@dataclass(frozen=True)
-class Prediction:
-    score: float
-    label: float  # +1.0 or -1.0; score exactly 0 maps to +1
-
-
-def predict(model: ModelTheta, col_idx, values) -> Prediction:
-    """Classify one sparse sample given as parallel index/value arrays."""
-    col_idx = np.asarray(col_idx, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
-    if col_idx.size and col_idx.max() >= model.m:
-        raise ValueError(
-            f"sample index {col_idx.max()} outside model range [0, {model.m})"
-        )
-    score = float(model.omega[col_idx] @ values + model.b)
-    return Prediction(score, 1.0 if score >= 0.0 else -1.0)
 
 
 def decision_scores(model: ModelTheta, ds: SparseDataset) -> np.ndarray:
@@ -45,6 +23,7 @@ def decision_scores(model: ModelTheta, ds: SparseDataset) -> np.ndarray:
 
 
 def predicted_labels(model: ModelTheta, ds: SparseDataset) -> np.ndarray:
+    """+1.0 or -1.0 per sample; a score of exactly 0 maps to +1."""
     return np.where(decision_scores(model, ds) >= 0.0, 1.0, -1.0)
 
 

@@ -365,12 +365,12 @@ def mpm_train(ds: SparseDataset, cfg: MpmConfig) -> tuple[ModelTheta, TrainRepor
             op = RegularizedNormalOperator(ds, rho)
     wall = time.perf_counter() - start
 
-    tie = proj.partition.has_ambiguous_tie()
+    tie = proj.ties > 0
     if tie:
         logger.warning(
             "projection tie at termination: %d equal margin entries competed"
             " for the last budget slot; the lowest-index rule decided",
-            proj.partition.pivot_kept.size + proj.partition.pivot_dropped.size,
+            proj.ties,
         )
     model = ModelTheta(theta[:m].copy(), float(theta[m]))
     report = TrainReport(

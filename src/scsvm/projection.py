@@ -9,66 +9,25 @@ is a deterministic function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "IndexPartition",
-    "ProjectionResult",
-    "partition_indices",
-    "project_omega_s",
-    "g_value",
-]
-
-_EMPTY = np.empty(0, dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class IndexPartition:
-    """Index sets describing one projection; each array is ascending.
-
-    kept_above      positive entries strictly above the cut value, kept
-    pivot_kept      entries tying the cut value that the budget keeps
-    pivot_dropped   entries tying the cut value that are zeroed
-    dropped_small   positive entries strictly below the cut value, zeroed
-    nonpositive     entries <= 0, kept verbatim
-    """
-
-    kept_above: np.ndarray
-    pivot_kept: np.ndarray
-    pivot_dropped: np.ndarray
-    dropped_small: np.ndarray
-    nonpositive: np.ndarray
-
-    def kept_positive(self) -> np.ndarray:
-        return np.sort(np.concatenate([self.kept_above, self.pivot_kept]))
-
-    def zeroed(self) -> np.ndarray:
-        return np.sort(np.concatenate([self.pivot_dropped, self.dropped_small]))
-
-    def has_ambiguous_tie(self) -> bool:
-        """True when equal values forced an arbitrary keep/drop choice."""
-        return self.pivot_dropped.size > 0 and self.pivot_kept.size > 0
+__all__ = ["ProjectionResult", "project_omega_s", "g_value"]
 
 
 @dataclass(frozen=True, eq=False)
 class ProjectionResult:
-    """A projected vector, 0.5x its squared distance, and the index sets.
+    """A projected vector, 0.5x its squared distance, and the tie count.
 
-    The index sets are built from a private copy of the input on first read
-    of `partition`; the training loop reads them only at termination.
+    ties is the number of entries equal to the cut value when the budget kept
+    some of them and zeroed the others (the lowest-index rule decided which),
+    and 0 otherwise.
     """
 
     projected: np.ndarray
     dist_sq: float
-    source: np.ndarray = field(repr=False)
-    budget: int = field(repr=False)
-
-    @cached_property
-    def partition(self) -> IndexPartition:
-        return partition_indices(self.source, self.budget)
+    ties: int
 
 
 def _as_margin_vector(z) -> np.ndarray:
@@ -88,63 +47,39 @@ def _checked_budget(s, n: int) -> int:
     return int(s)
 
 
-def partition_indices(z, s) -> IndexPartition:
-    """Split indices of z by how projection with budget s treats them."""
-    z = _as_margin_vector(z)
-    n = z.size
-    s = _checked_budget(s, n)
-    positive = z > 0
-    if s == 0:
-        return IndexPartition(
-            _EMPTY, _EMPTY, _EMPTY, np.flatnonzero(positive), np.flatnonzero(~positive)
-        )
-    if int(positive.sum()) <= s:
-        # everything already fits the budget
-        return IndexPartition(
-            np.flatnonzero(positive), _EMPTY, _EMPTY, _EMPTY, np.flatnonzero(~positive)
-        )
-    # s-th largest entry, found by selection rather than a full sort; more
-    # than s entries are positive, so the cut value is positive
-    pivot = np.partition(z, n - s)[n - s]
-    kept_above = np.flatnonzero(z > pivot)
-    tied = np.flatnonzero(z == pivot)
-    room = s - kept_above.size
-    return IndexPartition(
-        kept_above,
-        tied[:room],
-        tied[room:],
-        np.flatnonzero(positive & (z < pivot)),
-        np.flatnonzero(~positive),
-    )
-
-
 def project_omega_s(z, s) -> ProjectionResult:
     """Project z onto {x : at most s positive entries}.
 
     dist_sq is 0.5 * ||z - projected||^2, summed over the zeroed entries in
     ascending index order.
     """
-    z = _as_margin_vector(z).copy()
+    z = _as_margin_vector(z)
     n = z.size
     s = _checked_budget(s, n)
     positive = z > 0
     x = z.copy()
     if np.count_nonzero(positive) <= s:
-        return ProjectionResult(x, 0.0, z, s)
+        return ProjectionResult(x, 0.0, 0)
+    ties = 0
     if s == 0:
         drop = positive
     else:
-        # the cut value of partition_indices; the n - s entries outside the
-        # budget are those below it plus the highest-index ties at it
+        # s-th largest entry, found by selection rather than a full sort; more
+        # than s entries are positive, so the cut value is positive. The n - s
+        # entries outside the budget are those below it plus the highest-index
+        # ties at it; at least one tie is always kept, so any dropped tie means
+        # the lowest-index rule decided.
         pivot = np.partition(z, n - s)[n - s]
         below = z < pivot
         drop = positive & below
         tied_dropped = n - s - np.count_nonzero(below)
         if tied_dropped:
-            drop[np.flatnonzero(z == pivot)[-tied_dropped:]] = True
+            tied = np.flatnonzero(z == pivot)
+            drop[tied[-tied_dropped:]] = True
+            ties = tied.size
     x[drop] = 0.0
     dist_sq = 0.5 * float(np.sum(z[drop] ** 2))
-    return ProjectionResult(x, dist_sq, z, s)
+    return ProjectionResult(x, dist_sq, ties)
 
 
 def g_value(z, s) -> float:

@@ -16,8 +16,6 @@ from scsvm.benchmark import (
     render_csv,
     render_json,
     run_benchmark,
-    write_csv,
-    write_json,
 )
 from scsvm.data import SparseDataset
 from scsvm.mpm import MpmConfig
@@ -216,16 +214,6 @@ def test_json_failed_row_keeps_error_and_null_numbers():
     assert entry["error"]
     assert entry["k"] is None
     assert entry["training_report"] is None
-
-
-def test_writers_accept_paths(tmp_path):
-    rows = run_benchmark([("pair", tight_pair_clusters(20))], (0.10,), quick_cfg())
-    csv_path = tmp_path / "bench.csv"
-    json_path = tmp_path / "bench.json"
-    write_csv(rows, csv_path)
-    write_json(rows, json_path)
-    assert csv_path.read_text() == render_csv(rows)
-    assert json.loads(json_path.read_text())["rows"][0]["dataset"] == "pair"
 
 
 def test_row_rejects_out_of_range_accuracy():

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scsvm.cli import main
+from scsvm.cli import build_parser, main, merge_solver_config
 from scsvm.data import parse_svmlight
+from scsvm.mpm import MpmConfig
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 TOY = str(DATA / "separable_toy")
@@ -237,6 +238,11 @@ def test_config_file_supplies_defaults_flags_override(workdir, capsys):
     report = json.loads((workdir / "separable_toy.report.json").read_text())
     assert report["termination"] == "max_outer"
     assert report["outer_iters"] == 4
+
+
+def test_no_flags_and_no_config_give_the_library_defaults():
+    args = build_parser().parse_args(["train", "--data", TOY])
+    assert merge_solver_config(args) == (MpmConfig(sr=0.10), 42)
 
 
 def test_config_file_unknown_key_exits_one(workdir, capsys):

@@ -7,7 +7,6 @@ from scsvm.evaluate import (
     accuracy,
     decision_scores,
     error_rate,
-    predict,
     predicted_labels,
     train_misclassified_count,
 )
@@ -17,36 +16,12 @@ from _util import dense_dataset, noisy_linear_dataset
 from test_mpm import tight_pair_clusters
 
 
-def test_predict_sparse_sample():
-    model = ModelTheta([1.0, -1.0], 0.0)
-    pred = predict(model, [0], [2.0])
-    assert pred.score == 2.0
-    assert pred.label == 1.0
-
-
-def test_predict_tie_goes_positive():
-    model = ModelTheta([1.0], -2.0)
-    pred = predict(model, [0], [2.0])
-    assert pred.score == 0.0
-    assert pred.label == 1.0
-
-
-def test_predict_bias_only_negative():
-    model = ModelTheta([0.0, 0.0], -3.0)
-    assert predict(model, [1], [5.0]).label == -1.0
-    assert predict(model, [], []).label == -1.0
-
-
-def test_predict_rejects_out_of_range_index():
-    with pytest.raises(ValueError, match="outside"):
-        predict(ModelTheta([1.0], 0.0), [3], [1.0])
-
-
 def test_scores_and_labels_vectorized():
-    ds = dense_dataset([[1.0], [-1.0], [2.0]], [1.0, -1.0, 1.0])
+    # the last row scores exactly 0, which labels +1
+    ds = dense_dataset([[1.0], [-1.0], [2.0], [0.0]], [1.0, -1.0, 1.0, 1.0])
     model = ModelTheta([1.0], 0.0)
-    np.testing.assert_array_equal(decision_scores(model, ds), [1.0, -1.0, 2.0])
-    np.testing.assert_array_equal(predicted_labels(model, ds), [1.0, -1.0, 1.0])
+    np.testing.assert_array_equal(decision_scores(model, ds), [1.0, -1.0, 2.0, 0.0])
+    np.testing.assert_array_equal(predicted_labels(model, ds), [1.0, -1.0, 1.0, 1.0])
 
 
 def test_perfect_separator_scores_100():

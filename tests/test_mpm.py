@@ -430,6 +430,7 @@ def test_tie_at_termination_warns(caplog):
         _, report = mpm_train(ds, MpmConfig(s=1, max_outer=6))
     assert report.tie_at_termination
     assert any("tie" in rec.message for rec in caplog.records)
+    assert any("2 equal margin entries" in rec.message for rec in caplog.records)
 
 
 def test_clean_run_has_no_tie_flag():

@@ -1,7 +1,7 @@
 """Projection onto the budget set {x : at most s positive entries}.
 
-The oracle used throughout is exhaustive enumeration over every admissible
-support, so it only runs for small n.
+Two oracles: exhaustive enumeration over every admissible support (small n
+only), and a stable sort that spells out the top-s and lowest-index tie rule.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from scsvm.projection import g_value, partition_indices, project_omega_s
+from scsvm.projection import g_value, project_omega_s
 
 
 def enumeration_oracle(z, s):
@@ -43,6 +43,20 @@ def enumeration_oracle(z, s):
                 best_x = x
                 best_drop = drop
     return best_x, best_d, best_drop
+
+
+def sort_oracle(z, s):
+    """(projected, ties) by ranking entries on value descending, then index
+    ascending, and zeroing every positive entry ranked below s."""
+    z = np.asarray(z, dtype=float)
+    order = np.argsort(-z, kind="stable")
+    x = z.copy()
+    dropped = order[s:]
+    x[dropped[z[dropped] > 0]] = 0.0
+    ties = 0
+    if 0 < s < z.size and z[order[s]] > 0 and z[order[s]] == z[order[s - 1]]:
+        ties = int(np.count_nonzero(z == z[order[s]]))
+    return x, ties
 
 
 def margins_and_budgets(max_n=12, max_mag=1e6):
@@ -80,24 +94,18 @@ def test_projection_tie_keeps_lowest_index():
     res = project_omega_s(z, 1)
     np.testing.assert_array_equal(res.projected, [2.0, 0.0, 0.0, -1.0])
     assert res.dist_sq == 0.5 * (4.0 + 1.0)
-    part = res.partition
-    np.testing.assert_array_equal(part.kept_above, [])
-    np.testing.assert_array_equal(part.pivot_kept, [0])
-    np.testing.assert_array_equal(part.pivot_dropped, [1])
-    np.testing.assert_array_equal(part.dropped_small, [2])
-    np.testing.assert_array_equal(part.nonpositive, [3])
-    assert part.has_ambiguous_tie()
+    assert res.ties == 2
+    # the result is a copy, not a view of the input
+    z[:] = [-5.0, 7.0, 7.0, 7.0]
+    np.testing.assert_array_equal(res.projected, [2.0, 0.0, 0.0, -1.0])
 
 
 def test_partition_unique_pivot():
-    # pivot 3.0 is attained once, so it lands in the tie sets alone
-    part = partition_indices(np.array([3.0, 1.0, -2.0, 0.5]), 1)
-    np.testing.assert_array_equal(part.kept_above, [])
-    np.testing.assert_array_equal(part.pivot_kept, [0])
-    np.testing.assert_array_equal(part.pivot_dropped, [])
-    np.testing.assert_array_equal(part.dropped_small, [1, 3])
-    np.testing.assert_array_equal(part.nonpositive, [2])
-    assert not part.has_ambiguous_tie()
+    # the cut value 3.0 is attained once, so no tie is reported; a tie below
+    # the cut (1.0 twice, both zeroed) is not one either
+    res = project_omega_s(np.array([3.0, 1.0, -2.0, 1.0]), 1)
+    np.testing.assert_array_equal(res.projected, [3.0, 0.0, -2.0, 0.0])
+    assert res.ties == 0
 
 
 def test_budget_zero_clamps_positive_part():
@@ -105,9 +113,7 @@ def test_budget_zero_clamps_positive_part():
     res = project_omega_s(z, 0)
     np.testing.assert_array_equal(res.projected, np.minimum(z, 0.0))
     assert res.dist_sq == 4.5
-    part = res.partition
-    np.testing.assert_array_equal(part.dropped_small, [0])
-    np.testing.assert_array_equal(part.nonpositive, [1, 2])
+    assert res.ties == 0
 
 
 def test_budget_equal_to_length_is_identity():
@@ -122,17 +128,7 @@ def test_fewer_positives_than_budget_is_identity():
     res = project_omega_s(z, 3)
     np.testing.assert_array_equal(res.projected, z)
     assert res.dist_sq == 0.0
-    np.testing.assert_array_equal(res.partition.kept_above, [1])
-
-
-def test_partition_reflects_the_input_at_projection_time():
-    z = np.array([2.0, 2.0, 1.0, -1.0])
-    res = project_omega_s(z, 1)
-    z[:] = [-5.0, 7.0, 7.0, 7.0]
-    np.testing.assert_array_equal(res.projected, [2.0, 0.0, 0.0, -1.0])
-    np.testing.assert_array_equal(res.partition.pivot_kept, [0])
-    np.testing.assert_array_equal(res.partition.pivot_dropped, [1])
-    assert res.partition is res.partition
+    assert res.ties == 0
 
 
 def test_all_ones_keeps_first_s():
@@ -147,15 +143,15 @@ def test_all_ones_keeps_first_s():
 def test_rejects_bad_arguments():
     z = np.array([1.0, 2.0])
     with pytest.raises(ValueError):
-        partition_indices(z, 3)
+        project_omega_s(z, 3)
     with pytest.raises(ValueError):
-        partition_indices(z, -1)
+        project_omega_s(z, -1)
     with pytest.raises(TypeError):
-        partition_indices(z, 1.0)
+        project_omega_s(z, 1.0)
     with pytest.raises(TypeError):
-        partition_indices(z, True)
+        project_omega_s(z, True)
     with pytest.raises(ValueError):
-        partition_indices(np.array([[1.0], [2.0]]), 1)
+        project_omega_s(np.array([[1.0], [2.0]]), 1)
     with pytest.raises(ValueError):
         project_omega_s(np.array([1.0, np.nan]), 1)
     with pytest.raises(ValueError):
@@ -261,45 +257,7 @@ def test_support_stable_under_small_perturbation(zs, data):
     np.testing.assert_array_equal(
         base.projected != 0.0, moved.projected != 0.0
     )
-    np.testing.assert_array_equal(
-        base.partition.kept_positive(), moved.partition.kept_positive()
-    )
-
-
-@given(margins_and_budgets())
-def test_partition_is_a_partition(zs):
-    z, s = zs
-    part = partition_indices(z, s)
-    pieces = [
-        part.kept_above,
-        part.pivot_kept,
-        part.pivot_dropped,
-        part.dropped_small,
-        part.nonpositive,
-    ]
-    merged = np.concatenate(pieces)
-    assert merged.size == z.size
-    assert np.array_equal(np.sort(merged), np.arange(z.size))
-    kept = part.kept_positive()
-    assert kept.size <= s
-    assert np.all(z[kept] > 0)
-    assert np.all(z[part.nonpositive] <= 0)
-    zeroed = part.zeroed()
-    assert np.all(z[zeroed] > 0)
-    # every zeroed entry is <= every kept positive entry
-    if kept.size and zeroed.size:
-        assert np.max(z[zeroed]) <= np.min(z[kept])
-
-
-@given(margins_and_budgets())
-def test_tie_rule_keeps_lowest_indices(zs):
-    z, s = zs
-    part = partition_indices(z, s)
-    if part.pivot_dropped.size and part.pivot_kept.size:
-        assert np.max(part.pivot_kept) < np.min(part.pivot_dropped)
-        np.testing.assert_array_equal(
-            z[part.pivot_kept], np.full(part.pivot_kept.size, z[part.pivot_kept[0]])
-        )
+    np.testing.assert_array_equal(base.projected > 0.0, moved.projected > 0.0)
 
 
 @settings(max_examples=300)
@@ -315,7 +273,7 @@ def test_projection_zeroes_exactly_the_partition_zeroed_set(z, data):
     # few distinct values, so cut-value ties are the common case
     s = data.draw(st.integers(0, z.size))
     res = project_omega_s(z, s)
-    expected = z.copy()
-    expected[partition_indices(z, s).zeroed()] = 0.0
+    expected, ties = sort_oracle(z, s)
     np.testing.assert_array_equal(res.projected, expected)
     assert res.dist_sq == 0.5 * float(np.sum((z - expected) ** 2))
+    assert res.ties == ties
