@@ -29,7 +29,13 @@ from .benchmark import (
 )
 from .data import parse_svmlight, split
 from .dcd import DcdConfig
-from .evaluate import accuracy, decision_scores, error_rate, predicted_labels
+from .evaluate import (
+    accuracy,
+    decision_scores,
+    error_rate,
+    labels_from_scores,
+    predicted_labels,
+)
 from .linsys import CgConfig
 from .mpm import ModelTheta, MpmConfig, mpm_train
 
@@ -238,7 +244,7 @@ def cmd_predict(args) -> int:
         scores = decision_scores(model, ds)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    labels = np.where(scores >= 0.0, 1, -1)
+    labels = labels_from_scores(scores).astype(np.int64)
     if args.format == "json":
         doc = {"labels": labels.tolist(), "scores": scores.tolist()}
         _emit(json.dumps(doc, indent=2, allow_nan=False), args.out)

@@ -29,6 +29,11 @@ __all__ = [
 # sharing a dataset (run_benchmark with jobs > 1) may request together
 _FORMS_LOCK = threading.Lock()
 
+# the parser reads whole lines in batches of about this many characters
+_BATCH_CHARS = 1 << 20
+_MAX_INDEX = int(np.iinfo(np.int64).max)
+_COLON, _SPACE = ord(":"), ord(" ")
+
 
 @dataclass(frozen=True)
 class DatasetStats:
@@ -194,13 +199,17 @@ def remap_labels(ds: SparseDataset, label_map: LabelMap) -> SparseDataset:
     return SparseDataset(ds.row_ptr, ds.col_idx, ds.values, new_labels, ds.m)
 
 
-def _parse_stream(stream, name: str, n_features):
+def _parse_lines(lines, name: str, n_features, first_lineno: int) -> SparseDataset:
+    """Parse lines one token at a time; the first bad line raises, named by number.
+
+    The reference for _parse_batch and the reporter of the errors it rejects.
+    """
     labels = []
     cols = []
     vals = []
     row_ptr = [0]
     max_col = 0
-    for lineno, line in enumerate(stream, start=1):
+    for lineno, line in enumerate(lines, start=first_lineno):
         tokens = line.split()
         if not tokens:
             continue
@@ -222,6 +231,10 @@ def _parse_stream(stream, name: str, n_features):
                 ) from None
             if idx < 1:
                 raise ValueError(f"{name}, line {lineno}: feature index {idx} is not >= 1")
+            if idx > _MAX_INDEX:
+                raise ValueError(
+                    f"{name}, line {lineno}: feature index {idx} exceeds {_MAX_INDEX}"
+                )
             if idx <= prev:
                 raise ValueError(
                     f"{name}, line {lineno}: index {idx} repeats or decreases (after {prev})"
@@ -238,8 +251,6 @@ def _parse_stream(stream, name: str, n_features):
             vals.append(value)
         max_col = max(max_col, prev)
         row_ptr.append(len(cols))
-    if not labels:
-        raise ValueError(f"{name}: no samples")
     return SparseDataset(
         row_ptr=np.array(row_ptr, dtype=np.int64),
         col_idx=np.array(cols, dtype=np.int64),
@@ -249,11 +260,85 @@ def _parse_stream(stream, name: str, n_features):
     )
 
 
+def _parse_batch(lines, n_features) -> SparseDataset | None:
+    """Parse whole lines with a few C-level string passes and Python's int/float.
+
+    Returns None where _parse_lines would raise, so that it can name the line.
+    """
+    labels, lengths, feats = [], [], []
+    for line in lines:
+        tokens = line.split()
+        if tokens:
+            labels.append(tokens[0])
+            lengths.append(len(tokens) - 1)
+            feats += tokens[1:]
+    t = len(feats)
+    joined = " ".join(feats)
+    fields = joined.replace(":", " ").split()
+    raw = np.frombuffer(joined.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    seps = raw[(raw == _COLON) | (raw == _SPACE)]
+    # every feature token holds exactly one colon when the separators read
+    # ": : ... :" (counts alone would pass "1:2:3 5"), and two non-empty sides
+    # when the split gives two fields per token
+    if seps.size != max(2 * t - 1, 0) or np.any(seps[0::2] != _COLON) or len(fields) != 2 * t:
+        return None
+    try:
+        idx = np.fromiter(map(int, fields[0::2]), dtype=np.int64, count=t)
+        vals = np.fromiter(map(float, fields[1::2]), dtype=np.float64, count=t)
+        labs = np.fromiter(map(float, labels), dtype=np.float64, count=len(labels))
+    except (ValueError, OverflowError):
+        return None
+    # checked before idx - 1, which would wrap around at the int64 minimum
+    if t and idx.min() < 1:
+        return None
+    row_ptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=row_ptr[1:])
+    if n_features is not None:
+        m = n_features
+    else:
+        m = int(idx.max()) if t else 0
+    try:
+        return SparseDataset(row_ptr, idx - 1, vals, labs, m)
+    except ValueError:
+        return None
+
+
+def _concat(parts, name: str, n_features) -> SparseDataset:
+    if not any(part.n for part in parts):
+        raise ValueError(f"{name}: no samples")
+    if len(parts) == 1:
+        return parts[0]
+    offsets = np.cumsum([0] + [part.nnz for part in parts])
+    row_ptr = np.concatenate(
+        [[0]] + [part.row_ptr[1:] + off for part, off in zip(parts, offsets)]
+    )
+    return SparseDataset(
+        row_ptr=row_ptr,
+        col_idx=np.concatenate([part.col_idx for part in parts]),
+        values=np.concatenate([part.values for part in parts]),
+        labels=np.concatenate([part.labels for part in parts]),
+        m=n_features if n_features is not None else max(part.m for part in parts),
+    )
+
+
+def _parse_stream(stream, name: str, n_features) -> SparseDataset:
+    parts = []
+    lineno = 1
+    while lines := stream.readlines(_BATCH_CHARS):
+        part = _parse_batch(lines, n_features)
+        if part is None:
+            part = _parse_lines(lines, name, n_features, lineno)
+        parts.append(part)
+        lineno += len(lines)
+    return _concat(parts, name, n_features)
+
+
 def parse_svmlight(source, n_features: int | None = None) -> SparseDataset:
     """Read svmlight text from a path or file object.
 
     The feature count is the largest index seen unless n_features forces a
-    wider (never narrower) dataset.
+    wider (never narrower) dataset. Lines are parsed in batches; a batch with
+    a bad line is parsed again line by line, so the error names that line.
     """
     if hasattr(source, "read"):
         return _parse_stream(source, getattr(source, "name", "<stream>"), n_features)

@@ -11,6 +11,7 @@ __all__ = [
     "accuracy",
     "decision_scores",
     "error_rate",
+    "labels_from_scores",
     "predicted_labels",
     "train_misclassified_count",
 ]
@@ -22,9 +23,14 @@ def decision_scores(model: ModelTheta, ds: SparseDataset) -> np.ndarray:
     return ds.matrix() @ model.omega + model.b
 
 
+def labels_from_scores(scores: np.ndarray) -> np.ndarray:
+    """+1.0 or -1.0 per score; a score of exactly 0 maps to +1."""
+    return np.where(scores >= 0.0, 1.0, -1.0)
+
+
 def predicted_labels(model: ModelTheta, ds: SparseDataset) -> np.ndarray:
-    """+1.0 or -1.0 per sample; a score of exactly 0 maps to +1."""
-    return np.where(decision_scores(model, ds) >= 0.0, 1.0, -1.0)
+    """labels_from_scores of the model's decision scores."""
+    return labels_from_scores(decision_scores(model, ds))
 
 
 def accuracy(model: ModelTheta, ds: SparseDataset) -> float:

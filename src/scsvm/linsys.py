@@ -87,7 +87,10 @@ class RegularizedNormalOperator:
 def dense_solve(op: RegularizedNormalOperator, rhs: np.ndarray) -> SolveOutcome:
     """Direct SPD solve through a cached Cholesky factorization."""
     rhs = np.asarray(rhs, dtype=np.float64)
-    theta = scipy.linalg.cho_solve(op._factorization(), rhs)
+    # cho_factor checked the cached factor once; only the rhs is new
+    if not np.isfinite(rhs).all():
+        raise ValueError("array must not contain infs or NaNs")
+    theta = scipy.linalg.cho_solve(op._factorization(), rhs, check_finite=False)
     residual = float(np.linalg.norm(rhs - op.apply(theta)))
     return SolveOutcome(theta=theta, iterations=0, final_residual=residual, converged=True)
 

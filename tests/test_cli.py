@@ -8,7 +8,7 @@ import pytest
 
 from scsvm.cli import build_parser, main, merge_solver_config
 from scsvm.data import parse_svmlight
-from scsvm.mpm import MpmConfig
+from scsvm.mpm import ModelTheta, MpmConfig
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 TOY = str(DATA / "separable_toy")
@@ -100,6 +100,25 @@ def test_predict_pads_narrow_data(workdir, capsys):
     capsys.readouterr()
     assert run_cli(["predict", "--model", str(model), "--data", str(narrow)]) == 0
     assert capsys.readouterr().out.strip().split("\n") == ["1", "-1"]
+
+
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        ("text", "1\n1\n-1\n"),
+        ("json", '{\n  "labels": [\n    1,\n    1,\n    -1\n  ],\n'
+                 '  "scores": [\n    0.0,\n    1.0,\n    -3.0\n  ]\n}\n'),
+    ],
+)
+def test_predict_score_of_exactly_zero_prints_one(workdir, capsys, fmt, expected):
+    model = workdir / "flat.model"
+    ModelTheta(np.array([1.0, -1.0]), 0.0).save(model)
+    data = workdir / "flat"
+    data.write_text("+1 1:2 2:2\n-1 1:1\n+1 2:3\n")
+    capsys.readouterr()
+    argv = ["predict", "--model", str(model), "--data", str(data), "--format", fmt]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_eval_text_output(workdir, capsys):

@@ -7,9 +7,10 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from scsvm import data as scsvm_data
 from scsvm.data import (
     LabelMap,
     SparseDataset,
@@ -75,11 +76,33 @@ def test_parse_skips_blank_lines():
         ("+1 3:1 2:1\n", 1),  # decreasing index
         ("+1 1:1\n-1 1.5:2\n", 2),
         ("+1 1:inf\n", 1),
+        # two colons and four fields in all, exactly like "1:2 3:5"
+        ("+1 1:1\n-1 1:2:3 5\n", 2),
+        ("+1 1:1\n-1 9223372036854775808:1\n", 2),  # index past int64
+        # past the first batch of about 1 MB
+        pytest.param("+1 1:1\n" * 200_000 + "-1 1:x\n", 200_001, id="multi-batch"),
     ],
 )
 def test_parse_errors_name_the_line(text, lineno):
     with pytest.raises(ValueError, match=f"line {lineno}"):
         parse_text(text)
+
+
+def test_parse_error_in_a_late_batch_names_the_file_line(tmp_path, monkeypatch):
+    monkeypatch.setattr(scsvm_data, "_BATCH_CHARS", 1_000)
+    # blank lines count: they are file lines but not samples
+    lines = ["" if i % 100 == 0 else f"+1 1:{i} 3:0.25" for i in range(1, 6_001)]
+    lines[5_000] = "-1 1:2 x:3"
+    path = tmp_path / "late.svm"
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    with pytest.raises(ValueError, match="late.svm, line 5001: expected index:value, got 'x:3'"):
+        parse_svmlight(path)
+
+
+def test_parse_splits_tokens_at_any_whitespace_inside_a_line():
+    ds = parse_text("1 1:1\x0c2:3\x0b3:4\n")
+    assert ds.n == 1
+    np.testing.assert_array_equal(ds.col_idx, [0, 1, 2])
 
 
 def test_parse_empty_file_is_an_error():
@@ -310,3 +333,86 @@ def test_take_rows_matches_row_by_row_selection(ds, data):
         np.testing.assert_array_equal(got_vals, want_vals)
     assert picked.row_ptr.dtype == np.int64
     assert picked.col_idx.dtype == np.int64
+
+
+LABELS = st.one_of(
+    st.sampled_from(["+1", "-1", "1", "2", "1e-5", "-0.0", "1_0", "nan", "abc", "1:2"]),
+    st.floats().map(repr),
+)
+VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1e-5", "-0.0", "+1", "1_0", "7"]),
+)
+ODD_TOKENS = st.sampled_from(
+    [
+        "1:2:3", ":5", "5:", "5", "1:nan", "1:inf", "0:1", "-3:1", "x:1", "1:x",
+        "1.5:2", "9223372036854775807:1", "9223372036854775808:1",
+        "99999999999999999999999:1", "-9223372036854775808:1",
+    ]
+)
+
+
+def spell_index(i, style):
+    if style == "plus":
+        return f"+{i}"
+    if style == "underscore" and i >= 10:
+        return f"{i // 10}_{i % 10}"
+    return str(i)
+
+
+@st.composite
+def svmlight_lines(draw):
+    kind = draw(st.sampled_from(["row", "row", "row", "label-only", "blank"]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t"])) + end
+    label = draw(LABELS)
+    if kind == "label-only":
+        return label + end
+    idx = draw(st.lists(st.integers(1, 14), unique=True, max_size=6).map(sorted))
+    styles = st.sampled_from(["plain", "plus", "underscore"])
+    tokens = [f"{spell_index(i, draw(styles))}:{draw(VALUES)}" for i in idx]
+    if draw(st.integers(0, 7)) == 0:
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(ODD_TOKENS))
+    sep = draw(st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c"]))
+    return sep.join([label, *tokens]) + end
+
+
+def parse_or_message(parse):
+    try:
+        return parse()
+    except ValueError as exc:
+        return str(exc)
+
+
+def line_by_line(text, n_features):
+    """The per-line parser over the whole text, as one batch."""
+    ds = scsvm_data._parse_lines(io.StringIO(text).readlines(), "<stream>", n_features, 1)
+    if ds.n == 0:
+        raise ValueError("<stream>: no samples")
+    return ds
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.lists(svmlight_lines(), max_size=14).map("".join),
+    st.one_of(st.none(), st.integers(0, 16)),
+    st.integers(1, 64),
+)
+@example("+1 1:1\n-1 1:2:3 5\n", None, 1_000)
+@example("+1 1:1\n-1 1:2:3 5\n", None, 1)
+@example("+1 -9223372036854775808:1\n", 2**64, 1_000)  # idx - 1 wraps in int64
+def test_batched_parse_matches_line_by_line(monkeypatch, text, n_features, batch_chars):
+    # small batches put batch boundaries anywhere in the text
+    monkeypatch.setattr(scsvm_data, "_BATCH_CHARS", batch_chars)
+    want = parse_or_message(lambda: line_by_line(text, n_features))
+    got = parse_or_message(lambda: parse_text(text, n_features=n_features))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, SparseDataset), got
+        assert got.m == want.m
+        # bytes, not values: -0.0 must stay -0.0, and a nan label equal itself
+        for field in ("row_ptr", "col_idx", "values", "labels"):
+            g, w = getattr(got, field), getattr(want, field)
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), field

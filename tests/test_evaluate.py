@@ -7,6 +7,7 @@ from scsvm.evaluate import (
     accuracy,
     decision_scores,
     error_rate,
+    labels_from_scores,
     predicted_labels,
     train_misclassified_count,
 )
@@ -22,6 +23,13 @@ def test_scores_and_labels_vectorized():
     model = ModelTheta([1.0], 0.0)
     np.testing.assert_array_equal(decision_scores(model, ds), [1.0, -1.0, 2.0, 0.0])
     np.testing.assert_array_equal(predicted_labels(model, ds), [1.0, -1.0, 1.0, 1.0])
+
+
+def test_labels_from_scores_maps_zero_and_negative_zero_to_plus_one():
+    scores = np.array([0.0, -0.0, 1e-300, -1e-300, 5.0, -5.0])
+    np.testing.assert_array_equal(
+        labels_from_scores(scores), [1.0, 1.0, 1.0, -1.0, 1.0, -1.0]
+    )
 
 
 def test_perfect_separator_scores_100():

@@ -93,6 +93,13 @@ def test_dense_solve_hand_example():
     assert out.converged
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dense_solve_rejects_a_non_finite_rhs(bad):
+    op = RegularizedNormalOperator(one_sample_two(), rho=0.5)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        dense_solve(op, np.array([1.0, bad]))
+
+
 def test_cg_solve_hand_example():
     op = RegularizedNormalOperator(one_sample_two(), rho=1.0)
     out = cg_solve(op, np.array([7.0, 3.0]), CgConfig(tol=1e-12, max_iter=50))

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scsvm.data import SparseDataset
+from scsvm.data import SparseDataset, parse_svmlight
+from scsvm.evaluate import predicted_labels
 from scsvm.linsys import CgConfig, RegularizedNormalOperator, cg_solve, dense_solve
 from scsvm.mpm import (
     ModelTheta,
@@ -420,6 +421,38 @@ def test_infeasible_symmetric_data_reports_infinite_p_prog():
     assert report.history[1].p_progress == math.inf
     payload = json.loads(report.to_json())
     assert payload["history"][1]["p_progress"] == "inf"
+
+
+@pytest.mark.parametrize(
+    "text, m, termination, outer_iters",
+    [
+        # no feature at all (m = 0): only the bias moves, and the two tied
+        # classes keep the projection from settling
+        pytest.param("+1\n-1\n" * 5, 0, "max_outer", 1000, id="label-only"),
+        # explicit zeros: A = 0, so omega cannot leave 0 and only b moves
+        pytest.param("+1 1:0 2:0\n-1 1:0 2:0\n" * 5, 2, "max_outer", 1000, id="all-zero-rows"),
+        pytest.param(
+            "".join(f"+1 1:{0.5 * i} 2:{1 - 0.1 * i}\n" for i in range(10)),
+            2, "converged", 4, id="single-class",
+        ),
+    ],
+)
+def test_degenerate_files_train_to_a_finite_model(text, m, termination, outer_iters):
+    ds = parse_svmlight(io.StringIO(text))
+    assert (ds.n, ds.m) == (10, m)
+    model, report = mpm_train(ds, MpmConfig(sr=0.10))
+    assert np.all(np.isfinite(model.omega)) and math.isfinite(model.b)
+    assert model.m == m
+    assert report.termination == termination
+    assert report.outer_iters == outer_iters
+    assert report.budget == 1  # round-half-up of 0.10 * 10
+    assert np.all(np.isfinite(report.objective_history()))
+    if termination == "max_outer":
+        # symmetric classes with no usable feature: omega stays exactly 0
+        assert not np.any(model.omega)
+        assert model.b == pytest.approx(-1.0 / 9.0, rel=1e-12)
+    else:
+        np.testing.assert_array_equal(predicted_labels(model, ds), np.ones(10))
 
 
 def test_tie_at_termination_warns(caplog):
