@@ -230,6 +230,7 @@ def cmd_train(args) -> int:
     print(f"termination: {report.termination}")
     print(f"k: {report.outer_iters}")
     print(f"cg: {report.total_cg}")
+    print(f"solve_path: {report.solve_path}")
     print(f"time_s: {report.wall_time_s:.4f}")
     print(f"train_accuracy_pct: {train_acc:.4f}")
     print(f"model: {model_path}")

@@ -2,11 +2,11 @@
 
 Every outer iteration solves (P^T P + rho Q^T Q) theta = rhs where
 P = [I 0] strips the bias and Q = [A 1] appends it. The operator is applied
-matrix-free: Q^T Q is never formed, only products with the dataset's cached
-A (CSR) and its transpose view A^T (CSC). For narrow problems a dense
-Cholesky factorization of the same matrix is cheaper than iterating; it is
-cached because the matrix depends only on the data and rho, not on the
-iterate.
+matrix-free: Q^T Q is never formed, only products with A and A^T in the form
+the caller chose, the dataset's cached CSR/CSC pair by default or an ndarray
+and its transpose view. For narrow problems a dense Cholesky factorization of
+the same matrix is cheaper than iterating; it is cached because the matrix
+depends only on the data and rho, not on the iterate.
 """
 
 from __future__ import annotations
@@ -15,10 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .data import SparseDataset
 
 __all__ = ["CgConfig", "RegularizedNormalOperator", "SolveOutcome", "cg_solve", "dense_solve"]
+
+# the LAPACK routine scipy.linalg.cho_solve calls, looked up once
+(_POTRS,) = get_lapack_funcs(("potrs",), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -44,16 +48,22 @@ class SolveOutcome:
 
 
 class RegularizedNormalOperator:
-    """theta -> [omega; 0] + rho * Q^T (Q theta), applied matrix-free."""
+    """theta -> [omega; 0] + rho * Q^T (Q theta), applied matrix-free.
 
-    def __init__(self, dataset: SparseDataset, rho: float):
+    forms is the (A, A^T) pair that apply multiplies: by default the
+    dataset's cached CSR and CSC forms; an n x m ndarray and its transpose
+    view make every product a BLAS gemv.
+    """
+
+    def __init__(self, dataset: SparseDataset, rho: float, forms=None):
         if not rho > 0.0:
             raise ValueError(f"rho must be positive, got {rho}")
         self.dataset = dataset
         self.rho = float(rho)
         self.dim = dataset.m + 1
-        self._a = dataset.matrix()
-        self._at = dataset.matrix_t()
+        if forms is None:
+            forms = (dataset.matrix(), dataset.matrix_t())
+        self._a, self._at = forms
         self._cho = None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -68,11 +78,16 @@ class RegularizedNormalOperator:
         return out
 
     def dense_matrix(self) -> np.ndarray:
-        """Materialize P^T P + rho Q^T Q; meant for narrow problems."""
+        """Materialize P^T P + rho Q^T Q; meant for narrow problems.
+
+        Built from the sparse forms whatever apply uses, so the factor, and
+        hence every dense solve, does not depend on that choice.
+        """
         m = self.dim - 1
+        a = self.dataset.matrix()
         mat = np.zeros((self.dim, self.dim))
-        mat[:m, :m] = np.eye(m) + self.rho * (self._at @ self._a).toarray()
-        col = np.asarray(self._a.sum(axis=0)).ravel()
+        mat[:m, :m] = np.eye(m) + self.rho * (self.dataset.matrix_t() @ a).toarray()
+        col = np.asarray(a.sum(axis=0)).ravel()
         mat[:m, m] = self.rho * col
         mat[m, :m] = self.rho * col
         mat[m, m] = self.rho * self.dataset.n
@@ -85,12 +100,19 @@ class RegularizedNormalOperator:
 
 
 def dense_solve(op: RegularizedNormalOperator, rhs: np.ndarray) -> SolveOutcome:
-    """Direct SPD solve through a cached Cholesky factorization."""
+    """Direct SPD solve through a cached Cholesky factorization.
+
+    Calls LAPACK potrs on the factor directly: the call cho_solve makes,
+    without its per-call argument handling, so theta is the same bits.
+    """
     rhs = np.asarray(rhs, dtype=np.float64)
     # cho_factor checked the cached factor once; only the rhs is new
     if not np.isfinite(rhs).all():
         raise ValueError("array must not contain infs or NaNs")
-    theta = scipy.linalg.cho_solve(op._factorization(), rhs, check_finite=False)
+    c, lower = op._factorization()
+    theta, info = _POTRS(c, rhs, lower=lower)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
     residual = float(np.linalg.norm(rhs - op.apply(theta)))
     return SolveOutcome(theta=theta, iterations=0, final_residual=residual, converged=True)
 

@@ -9,7 +9,9 @@ one strongly convex quadratic solve:
 
     (P^T P + rho Q^T Q) theta = rho Qbar^T (1 - Pi(1 - Qbar theta_k))
 
-solved densely for narrow data and by matrix-free CG otherwise.
+solved densely for narrow data and by matrix-free CG otherwise. The solve
+path, and the form of A that the loop's products use, are chosen once per
+training call (see matrix_forms).
 
 Stopping follows two progress measures. f_prog is used signed, exactly as
 defined: a negative value (f increased) passes its threshold trivially, so
@@ -40,6 +42,7 @@ __all__ = [
     "majorization_rhs",
     "majorized_penalty",
     "margin",
+    "matrix_forms",
     "mpm_train",
     "objective_components",
     "p_prog",
@@ -195,6 +198,7 @@ class TrainReport:
     total_cg: int
     wall_time_s: float
     termination: str  # "converged" | "max_outer"
+    solve_path: str  # "dense" | "cg"
     budget: int
     rho_final: float
     tie_at_termination: bool
@@ -214,6 +218,7 @@ class TrainReport:
             "total_cg": self.total_cg,
             "wall_time_s": self.wall_time_s,
             "termination": self.termination,
+            "solve_path": self.solve_path,
             "budget": self.budget,
             "rho_final": self.rho_final,
             "tie_at_termination": self.tie_at_termination,
@@ -240,11 +245,11 @@ def margin(theta: ModelTheta, ds: SparseDataset) -> np.ndarray:
     """z_i = 1 - y_i (omega . x_i + b)."""
     if theta.m != ds.m:
         raise ValueError(f"model has {theta.m} features, dataset has {ds.m}")
-    return _margin(theta.omega, theta.b, ds)
+    return _margin(theta.omega, theta.b, ds.labels, ds.matrix())
 
 
-def _margin(omega: np.ndarray, b: float, ds: SparseDataset) -> np.ndarray:
-    return 1.0 - ds.labels * (ds.matrix() @ omega + b)
+def _margin(omega: np.ndarray, b: float, labels: np.ndarray, a) -> np.ndarray:
+    return 1.0 - labels * (a @ omega + b)
 
 
 def objective_components(theta: ModelTheta, ds: SparseDataset, cfg: MpmConfig):
@@ -259,14 +264,15 @@ def majorization_rhs(theta_k: ModelTheta, ds: SparseDataset, cfg: MpmConfig) -> 
     """rho * Qbar^T (1 - Pi(1 - Qbar theta_k)), built matrix-free."""
     s = cfg.resolve_budget(ds.n)
     z = margin(theta_k, ds)
-    return _rhs(project_omega_s(z, s).projected, ds, cfg.rho)
+    return _rhs(project_omega_s(z, s).projected, ds.labels, ds.matrix_t(), cfg.rho)
 
 
-def _rhs(projected: np.ndarray, ds: SparseDataset, rho: float) -> np.ndarray:
-    yu = ds.labels * (1.0 - projected)
-    rhs = np.empty(ds.m + 1)
-    rhs[:ds.m] = rho * (ds.matrix_t() @ yu)
-    rhs[ds.m] = rho * yu.sum()
+def _rhs(projected: np.ndarray, labels: np.ndarray, at, rho: float) -> np.ndarray:
+    m = at.shape[0]
+    yu = labels * (1.0 - projected)
+    rhs = np.empty(m + 1)
+    rhs[:m] = rho * (at @ yu)
+    rhs[m] = rho * yu.sum()
     return rhs
 
 
@@ -306,6 +312,21 @@ def p_prog(theta_vec: np.ndarray, p_k: float) -> float:
     return 2.0 * p_k / norm_sq
 
 
+def matrix_forms(ds: SparseDataset, dense: bool):
+    """(A, A^T) in the form the training loop multiplies.
+
+    With a dense solve, A becomes a C-contiguous ndarray with A^T as its
+    view, so every product is a BLAS gemv, provided that array takes no more
+    memory than the CSR arrays it replaces. Otherwise, and always on the CG
+    path, they are the dataset's cached CSR and CSC forms.
+    """
+    csr_bytes = ds.values.nbytes + ds.col_idx.nbytes + ds.row_ptr.nbytes
+    if dense and 8 * ds.n * ds.m <= csr_bytes:
+        a = ds.matrix().toarray()
+        return a, a.T
+    return ds.matrix(), ds.matrix_t()
+
+
 def mpm_train(ds: SparseDataset, cfg: MpmConfig) -> tuple[ModelTheta, TrainReport]:
     """Run the outer loop from theta = 0 until both progress measures pass.
 
@@ -318,8 +339,10 @@ def mpm_train(ds: SparseDataset, cfg: MpmConfig) -> tuple[ModelTheta, TrainRepor
     n, m = ds.n, ds.m
     s = cfg.resolve_budget(n)
     rho = cfg.rho
-    op = RegularizedNormalOperator(ds, rho)
     use_dense = m < cfg.dense_threshold
+    forms = matrix_forms(ds, use_dense)
+    a, at = forms
+    op = RegularizedNormalOperator(ds, rho, forms)
     f_threshold = math.sqrt(n) * cfg.f_tol_factor
 
     theta = np.zeros(m + 1)
@@ -332,14 +355,14 @@ def mpm_train(ds: SparseDataset, cfg: MpmConfig) -> tuple[ModelTheta, TrainRepor
     termination = "max_outer"
     start = time.perf_counter()
     for k in range(1, cfg.max_outer + 1):
-        rhs = _rhs(proj.projected, ds, rho)
+        rhs = _rhs(proj.projected, ds.labels, at, rho)
         if use_dense:
             outcome = dense_solve(op, rhs)
         else:
             guess = theta if (cfg.cg_warm_start and k > 1) else None
             outcome = cg_solve(op, rhs, cfg.cg, x0=guess)
         theta = outcome.theta
-        proj = project_omega_s(_margin(theta[:m], theta[m], ds), s)
+        proj = project_omega_s(_margin(theta[:m], theta[m], ds.labels, a), s)
         f_curr = 0.5 * float(theta[:m] @ theta[:m])
         p_curr = proj.dist_sq
         objective = f_curr + rho * p_curr
@@ -362,7 +385,7 @@ def mpm_train(ds: SparseDataset, cfg: MpmConfig) -> tuple[ModelTheta, TrainRepor
             break
         if cfg.rho_growth > 1.0 and pp > cfg.p_tol and rho < RHO_CAP:
             rho = min(rho * cfg.rho_growth, RHO_CAP)
-            op = RegularizedNormalOperator(ds, rho)
+            op = RegularizedNormalOperator(ds, rho, forms)
     wall = time.perf_counter() - start
 
     tie = proj.ties > 0
@@ -378,6 +401,7 @@ def mpm_train(ds: SparseDataset, cfg: MpmConfig) -> tuple[ModelTheta, TrainRepor
         total_cg=total_cg,
         wall_time_s=wall,
         termination=termination,
+        solve_path="dense" if use_dense else "cg",
         budget=s,
         rho_final=rho,
         tie_at_termination=tie,

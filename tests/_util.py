@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from scsvm.data import SparseDataset
 
@@ -73,3 +74,24 @@ def noisy_linear_dataset(rng, n, m, flip=0.1, density=0.5):
     flips = rng.random(n) < flip
     labels[flips] *= -1.0
     return SparseDataset(ds.row_ptr, ds.col_idx, ds.values, labels, ds.m)
+
+
+def sparse_from_dense(features, labels):
+    """Dataset from a dense feature matrix with its zeros dropped, so an
+    all-zero row holds no entries."""
+    a = sp.csr_matrix(np.asarray(features, dtype=np.float64))
+    return SparseDataset(a.indptr, a.indices, a.data, np.asarray(labels, dtype=np.float64), a.shape[1])
+
+
+def narrow_cases(rng):
+    """Narrow datasets for comparing the ndarray form of A with its CSR form:
+    a sparse one with all-zero rows, a fully dense one, a label-only one."""
+    feats = rng.normal(size=(60, 12)) * (rng.random((60, 12)) < 0.4)
+    feats[[0, 5, 17, 59]] = 0.0
+    labels = rng.choice([-1.0, 1.0], size=60)
+    dense = rng.normal(scale=3.0, size=(30, 7))
+    return [
+        sparse_from_dense(feats, labels),
+        dense_dataset(dense, rng.choice([-1.0, 1.0], size=30)),
+        sparse_from_dense(np.zeros((9, 0)), rng.choice([-1.0, 1.0], size=9)),
+    ]

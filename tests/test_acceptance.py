@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import scsvm.mpm as mpm_module
 from scsvm.data import parse_svmlight, split
 from scsvm.dcd import DcdConfig, dcd_train
 from scsvm.evaluate import accuracy, train_misclassified_count
@@ -32,6 +33,17 @@ from _util import random_dataset
 DATA = Path(__file__).resolve().parent.parent / "data"
 BUNDLED = ("separable_toy", "noisy_blobs", "dense_mid", "sparse_imbalanced", "tiny")
 SR_GRID = (0.01, 0.05, 0.10, 0.15, 0.25, 0.50)
+# (k, termination, tie_at_termination) of each bundled cell under the
+# reference protocol, one entry per ratio in SR_GRID
+GRID_CELLS = {
+    "separable_toy": [(3, "converged", True), (4, "converged", True), (5, "converged", True),
+                      (5, "converged", True), (7, "converged", True), (15, "converged", True)],
+    "noisy_blobs": [(1000, "max_outer", False)] * 6,
+    "dense_mid": [(1000, "max_outer", False)] * 6,
+    "sparse_imbalanced": [(1000, "max_outer", False)] * 6,
+    "tiny": [(31, "converged", False), (34, "converged", False), (34, "converged", False),
+             (27, "converged", False), (12, "converged", False), (8, "converged", False)],
+}
 
 
 def load_real(name, criterion):
@@ -55,8 +67,8 @@ def bundled_grid_reports():
     for name in BUNDLED:
         ds = parse_svmlight(DATA / name)
         for sr in SR_GRID:
-            _, report = mpm_train(ds, MpmConfig(sr=sr))
-            out.append((name, ds.m, sr, report))
+            model, report = mpm_train(ds, MpmConfig(sr=sr))
+            out.append((name, ds.m, sr, model, report))
     return out
 
 
@@ -77,7 +89,7 @@ def test_criterion_1_projection_matches_enumeration():
 
 def test_criterion_2_objective_descent_over_bundled_grid(bundled_grid_reports):
     worst = -np.inf
-    for name, _, sr, report in bundled_grid_reports:
+    for name, _, sr, _, report in bundled_grid_reports:
         objs = report.objective_history()
         for prev, curr in zip(objs, objs[1:]):
             slack = (curr - prev) / (1.0 + abs(prev))
@@ -189,7 +201,7 @@ def test_criterion_7_hard_margin_limit():
 def test_criterion_8_dense_path_reports_zero_cg(bundled_grid_reports):
     narrow = [entry for entry in bundled_grid_reports if entry[1] < 100]
     assert narrow, "bundled suite must contain narrow datasets"
-    for name, _, sr, report in narrow:
+    for name, _, sr, _, report in narrow:
         assert report.total_cg == 0, (name, sr)
     print(f"criterion 8: PASS - cg=0 on all {len(narrow)} narrow grid cells")
 
@@ -202,6 +214,26 @@ def test_bundled_grid_counts_are_pinned(bundled_grid_reports):
     assert sum(r.outer_iters for r in reports) == 18185
     assert sum(r.termination == "converged" for r in reports) == 12
     assert sum(r.tie_at_termination for r in reports) == 6
+
+
+def test_bundled_grid_cells_are_pinned_and_match_the_csr_reference(bundled_grid_reports, monkeypatch):
+    """Each cell's outcome is pinned on its own, so a shift between two cells
+    shows. Narrow data trains on an ndarray form of A whose BLAS products sum
+    in another order than CSR; each model must stay within 1e-12 relative of
+    a run on the CSR forms, which serve as the reference."""
+    monkeypatch.setattr(mpm_module, "matrix_forms", lambda ds, dense: (ds.matrix(), ds.matrix_t()))
+    datasets = {name: parse_svmlight(DATA / name) for name in BUNDLED}
+    worst = 0.0
+    for name, _, sr, model, report in bundled_grid_reports:
+        pinned = GRID_CELLS[name][SR_GRID.index(sr)]
+        assert (report.outer_iters, report.termination, report.tie_at_termination) == pinned, (name, sr)
+        ref_model, ref = mpm_train(datasets[name], MpmConfig(sr=sr))
+        assert (ref.outer_iters, ref.termination, ref.tie_at_termination) == pinned, (name, sr)
+        theta, want = model.as_vector(), ref_model.as_vector()
+        rel = np.linalg.norm(theta - want) / np.linalg.norm(want)
+        assert rel <= 1e-12, (name, sr, rel)
+        worst = max(worst, rel)
+    print(f"grid pins: PASS - 30 cells, largest relative model difference {worst:.1e}")
 
 
 @pytest.mark.realdata

@@ -40,10 +40,12 @@ def test_train_writes_model_and_report(workdir, capsys):
     out = capsys.readouterr().out
     assert "termination: converged" in out
     assert "k: 1" in out
+    assert "solve_path: dense" in out
     assert "train_accuracy_pct: 100.0000" in out
     assert model_path.exists()
     report = json.loads((workdir / "separable_toy.report.json").read_text())
     assert report["termination"] == "converged"
+    assert report["solve_path"] == "dense"
     assert report["budget"] == 0
 
 

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from scsvm.data import SparseDataset
 from scsvm.linsys import CgConfig, RegularizedNormalOperator, cg_solve, dense_solve
 
-from _util import dense_dataset, random_dataset
+from _util import dense_dataset, narrow_cases, random_dataset
 
 
 def one_sample_two():
@@ -62,6 +63,19 @@ def test_apply_matches_materialized(rho):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("rho", [0.4, 10.0])
+def test_ndarray_form_apply_matches_csr_form(rho):
+    rng = np.random.default_rng(41)
+    for ds in narrow_cases(rng):
+        a = ds.matrix().toarray()
+        gemv = RegularizedNormalOperator(ds, rho, (a, a.T))
+        csr = RegularizedNormalOperator(ds, rho)
+        for _ in range(4):
+            v = rng.normal(size=ds.m + 1)
+            want = csr.apply(v)
+            assert np.linalg.norm(gemv.apply(v) - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def test_operator_is_symmetric_and_positive_definite():
     rng = np.random.default_rng(3)
     ds = random_dataset(rng, n=25, m=12)
@@ -91,6 +105,17 @@ def test_dense_solve_hand_example():
     np.testing.assert_allclose(out.theta, [1.0, 1.0], rtol=1e-12)
     assert out.iterations == 0
     assert out.converged
+
+
+def test_dense_solve_is_cho_solve_to_the_bit():
+    rng = np.random.default_rng(43)
+    ds = random_dataset(rng, n=50, m=15)
+    op = RegularizedNormalOperator(ds, rho=0.4)
+    factor = scipy.linalg.cho_factor(op.dense_matrix())
+    for _ in range(5):
+        rhs = rng.normal(size=ds.m + 1)
+        want = scipy.linalg.cho_solve(factor, rhs)
+        assert dense_solve(op, rhs).theta.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

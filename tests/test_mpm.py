@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scsvm.mpm as mpm_module
 from scsvm.data import SparseDataset, parse_svmlight
 from scsvm.evaluate import predicted_labels
 from scsvm.linsys import CgConfig, RegularizedNormalOperator, cg_solve, dense_solve
@@ -21,13 +22,14 @@ from scsvm.mpm import (
     majorization_rhs,
     majorized_penalty,
     margin,
+    matrix_forms,
     mpm_train,
     objective_components,
     p_prog,
 )
-from scsvm.projection import g_value
+from scsvm.projection import g_value, project_omega_s
 
-from _util import dense_dataset, gaussian_blobs, noisy_linear_dataset, random_dataset
+from _util import dense_dataset, gaussian_blobs, narrow_cases, noisy_linear_dataset, random_dataset
 
 
 def tight_pair_clusters(n: int, center: float = 10.0, seed: int = 0) -> SparseDataset:
@@ -181,6 +183,21 @@ def test_rhs_two_sample_hand_expansion():
     np.testing.assert_allclose(rhs, [0.4, 1.6, 1.2], rtol=1e-15)
 
 
+def test_ndarray_form_margin_and_rhs_match_csr_form():
+    rng = np.random.default_rng(53)
+    for ds in narrow_cases(rng):
+        a = ds.matrix().toarray()
+        for _ in range(4):
+            omega, b = rng.normal(size=ds.m), float(rng.normal())
+            want = mpm_module._margin(omega, b, ds.labels, ds.matrix())
+            got = mpm_module._margin(omega, b, ds.labels, a)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+            projected = project_omega_s(want, ds.n // 5).projected
+            want = mpm_module._rhs(projected, ds.labels, ds.matrix_t(), 0.4)
+            got = mpm_module._rhs(projected, ds.labels, a.T, 0.4)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def test_majorized_penalty_matches_true_penalty_at_reference():
     rng = np.random.default_rng(11)
     for _ in range(25):
@@ -293,6 +310,37 @@ def test_objective_descent_cg_path():
     vals = report.objective_history()
     drops = np.diff(vals)
     assert np.all(drops <= 1e-10 * (1.0 + np.abs(vals[:-1])))
+
+
+@pytest.mark.parametrize(
+    "density, dense_threshold, form, solve_path",
+    [
+        # 2% dense: the CSR arrays take less memory than an ndarray would
+        pytest.param(0.02, 100, "csr", "dense", id="sparse-narrow"),
+        pytest.param(1.0, 100, "ndarray", "dense", id="dense-narrow"),
+        # the CG path keeps the CSR forms whatever the density
+        pytest.param(1.0, 10, "csr", "cg", id="dense-wide"),
+    ],
+)
+def test_training_form_follows_the_solve_path_and_memory_rule(
+    monkeypatch, density, dense_threshold, form, solve_path
+):
+    ds = noisy_linear_dataset(np.random.default_rng(59), n=5000, m=50, density=density)
+    chosen = []
+
+    def spy(ds, dense):
+        chosen.append(matrix_forms(ds, dense))
+        return chosen[-1]
+
+    monkeypatch.setattr(mpm_module, "matrix_forms", spy)
+    _, report = mpm_train(ds, MpmConfig(sr=0.1, max_outer=3, dense_threshold=dense_threshold))
+    assert report.solve_path == solve_path
+    ((a, at),) = chosen
+    if form == "csr":
+        assert a is ds.matrix() and at is ds.matrix_t()
+    else:
+        assert isinstance(a, np.ndarray) and a.flags.c_contiguous
+        assert at.base is a and at.shape == (ds.m, ds.n)
 
 
 def test_narrow_data_never_touches_cg():
@@ -477,6 +525,7 @@ def test_report_json_round_trip():
     _, report = mpm_train(ds, MpmConfig(sr=0.2))
     payload = json.loads(report.to_json(indent=2))
     assert payload["termination"] == report.termination
+    assert payload["solve_path"] == report.solve_path == "dense"
     assert payload["outer_iters"] == report.outer_iters
     assert len(payload["history"]) == len(report.history)
     assert payload["history"][-1]["penalty"] == report.history[-1].penalty
