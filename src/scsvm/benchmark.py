@@ -22,29 +22,13 @@ import io
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from time import perf_counter
 
 from .data import SparseDataset
 from .dcd import DcdConfig, dcd_train
 from .evaluate import accuracy, train_misclassified_count
 from .mpm import MpmConfig, TrainReport, mpm_train
-
-CSV_COLUMNS = (
-    "dataset",
-    "sr",
-    "k",
-    "cg",
-    "time_s",
-    "accuracy_pct",
-    "train_misclassified",
-    "s",
-)
-COMPARISON_EXTRA_COLUMNS = (
-    "dcd_accuracy_pct",
-    "dcd_time_s",
-    "ref_accuracy_pct",
-    "ref_dcd_accuracy_pct",
-)
 
 DEFAULT_SR_GRID = (0.01, 0.05, 0.10, 0.15, 0.25, 0.50)
 
@@ -202,26 +186,33 @@ def _fmt(value, spec: str = "") -> str:
     return format(value, spec)
 
 
-def _csv_record(row: BenchmarkRow, include_dcd: bool) -> list[str]:
-    record = [
-        row.dataset,
-        format(row.sr, "g"),
-        _fmt(row.k),
-        _fmt(row.cg),
-        _fmt(row.time_s, ".4f"),
-        _fmt(row.accuracy_pct, ".4f"),
-        _fmt(row.train_misclassified),
-        _fmt(row.s),
-    ]
-    if include_dcd:
+def _reference_field(name: str):
+    def value(row: BenchmarkRow):
         ref = row.reference()
-        record += [
-            _fmt(row.dcd_accuracy_pct, ".4f"),
-            _fmt(row.dcd_time_s, ".4f"),
-            _fmt(ref.accuracy_pct if ref else None, ".4f"),
-            _fmt(ref.dcd_l1_accuracy_pct if ref else None, ".4f"),
-        ]
-    return record
+        return None if ref is None else getattr(ref, name)
+
+    return value
+
+
+# The CSV schema, one (column, value of a row, format spec) entry per column;
+# the header line and every record are read from these two tables.
+_CSV_TABLE = (
+    ("dataset", attrgetter("dataset"), ""),
+    ("sr", attrgetter("sr"), "g"),
+    ("k", attrgetter("k"), ""),
+    ("cg", attrgetter("cg"), ""),
+    ("time_s", attrgetter("time_s"), ".4f"),
+    ("accuracy_pct", attrgetter("accuracy_pct"), ".4f"),
+    ("train_misclassified", attrgetter("train_misclassified"), ""),
+    ("s", attrgetter("s"), ""),
+)
+_COMPARISON_TABLE = (
+    ("dcd_accuracy_pct", attrgetter("dcd_accuracy_pct"), ".4f"),
+    ("dcd_time_s", attrgetter("dcd_time_s"), ".4f"),
+    ("ref_accuracy_pct", _reference_field("accuracy_pct"), ".4f"),
+    ("ref_dcd_accuracy_pct", _reference_field("dcd_l1_accuracy_pct"), ".4f"),
+)
+CSV_COLUMNS = tuple(column for column, _, _ in _CSV_TABLE)
 
 
 def render_csv(rows, *, include_dcd: bool = False) -> str:
@@ -231,12 +222,12 @@ def render_csv(rows, *, include_dcd: bool = False) -> str:
     measured per solver sits in adjacent columns of one row, with the
     externally reported numbers alongside where known.
     """
-    columns = CSV_COLUMNS + (COMPARISON_EXTRA_COLUMNS if include_dcd else ())
+    table = _CSV_TABLE + (_COMPARISON_TABLE if include_dcd else ())
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
+    writer.writerow([column for column, _, _ in table])
     for row in rows:
-        writer.writerow(_csv_record(row, include_dcd))
+        writer.writerow([_fmt(value(row), spec) for _, value, spec in table])
     return buf.getvalue()
 
 
@@ -253,14 +244,7 @@ def _row_as_dict(row: BenchmarkRow) -> dict:
         "train_misclassified": row.train_misclassified,
         "termination": row.termination,
         "error": row.error,
-        "reference": None
-        if ref is None
-        else {
-            "k": ref.k,
-            "cg": ref.cg,
-            "accuracy_pct": ref.accuracy_pct,
-            "dcd_l1_accuracy_pct": ref.dcd_l1_accuracy_pct,
-        },
+        "reference": None if ref is None else dict(vars(ref)),
         "training_report": None if row.report is None else row.report.as_dict(),
     }
     if row.dcd_accuracy_pct is not None or row.dcd_time_s is not None:

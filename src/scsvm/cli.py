@@ -27,7 +27,7 @@ from .benchmark import (
     render_json,
     run_benchmark,
 )
-from .data import parse_svmlight, split
+from .data import DatasetStats, parse_svmlight, split
 from .dcd import DcdConfig
 from .evaluate import (
     accuracy,
@@ -162,16 +162,19 @@ def merge_solver_config(args) -> tuple[MpmConfig, int]:
     if unknown:
         raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
+    def from_file(name, coerce):
+        try:
+            return coerce(file_cfg[name])
+        except ValueError as exc:
+            raise CliError(f"config key {name}: {exc}") from exc
+
     merged = {}
     for name, coerce, _ in SOLVER_KNOBS:
         flag_value = getattr(args, name)
         if flag_value is not None:
             merged[name] = flag_value
         elif name in file_cfg:
-            try:
-                merged[name] = coerce(file_cfg[name])
-            except ValueError as exc:
-                raise CliError(f"config key {name}: {exc}") from exc
+            merged[name] = from_file(name, coerce)
         else:
             merged[name] = KNOB_DEFAULTS[name]
 
@@ -184,9 +187,9 @@ def merge_solver_config(args) -> tuple[MpmConfig, int]:
     elif "s" in file_cfg and "sr" in file_cfg:
         raise CliError("config file sets both s and sr; keep one")
     elif "s" in file_cfg:
-        budget = {"s": int(file_cfg["s"])}
+        budget = {"s": from_file("s", int)}
     elif "sr" in file_cfg:
-        budget = {"sr": float(file_cfg["sr"])}
+        budget = {"sr": from_file("sr", float)}
     else:
         budget = {"sr": 0.10}
 
@@ -317,6 +320,10 @@ def cmd_bench(args) -> int:
         names = _read_manifest(args.manifest) + names
     if not names:
         raise CliError("no datasets given; pass names or --manifest")
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.split is not None and not 0.0 < args.split < 1.0:
+        raise CliError(f"--split must lie strictly inside (0, 1), got {args.split}")
     cfg, seed = merge_solver_config(args)
     grid = _sr_grid(args.sr_grid)
 
@@ -364,7 +371,7 @@ def cmd_stats(args) -> int:
         doc = {name: st.as_dict() for name, st in entries}
         print(json.dumps(doc, indent=2, allow_nan=False))
         return EXIT_OK
-    print("name,n,m,nnz,density_pct")
+    print(DatasetStats.csv_header())
     for name, st in entries:
         print(st.csv_row(name))
     return EXIT_OK

@@ -9,7 +9,7 @@ that training requires.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,21 +37,27 @@ _COLON, _SPACE = ord(":"), ord(" ")
 
 @dataclass(frozen=True)
 class DatasetStats:
+    """Size and density of a dataset. The JSON object and the CSV columns are
+    the fields in declaration order; a field's "csv" metadata is its CSV
+    format spec."""
+
     n: int
     m: int
     nnz: int
-    density_pct: float
+    density_pct: float = field(metadata={"csv": ".2f"})
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "nnz": self.nnz,
-            "density_pct": self.density_pct,
-        }
+        return dict(vars(self))
+
+    @classmethod
+    def csv_header(cls) -> str:
+        return ",".join(["name", *(f.name for f in fields(cls))])
 
     def csv_row(self, name: str) -> str:
-        return f"{name},{self.n},{self.m},{self.nnz},{self.density_pct:.2f}"
+        cells = (
+            format(getattr(self, f.name), f.metadata.get("csv", "")) for f in fields(self)
+        )
+        return ",".join([name, *cells])
 
 
 @dataclass(frozen=True, eq=False)

@@ -180,6 +180,18 @@ class MpmConfig:
         return int(math.floor(self.sr * n + 0.5))
 
 
+def _fields_as_json(record) -> dict:
+    """A frozen dataclass's fields in declaration order (its __init__ sets
+    them in that order), with every non-finite float spelled as its repr
+    ("inf", "-inf", "nan"), which strict JSON has no token for."""
+    return {
+        name: repr(float(value))
+        if isinstance(value, float) and not math.isfinite(value)
+        else value
+        for name, value in vars(record).items()
+    }
+
+
 @dataclass(frozen=True)
 class IterationRecord:
     k: int
@@ -208,34 +220,11 @@ class TrainReport:
         return np.array([rec.objective for rec in self.history])
 
     def as_dict(self) -> dict:
-        def scrub(v):
-            if isinstance(v, float) and not math.isfinite(v):
-                return repr(v)
-            return v
-
-        return {
-            "outer_iters": self.outer_iters,
-            "total_cg": self.total_cg,
-            "wall_time_s": self.wall_time_s,
-            "termination": self.termination,
-            "solve_path": self.solve_path,
-            "budget": self.budget,
-            "rho_final": self.rho_final,
-            "tie_at_termination": self.tie_at_termination,
-            "history": [
-                {
-                    "k": rec.k,
-                    "objective": rec.objective,
-                    "f_value": rec.f_value,
-                    "penalty": rec.penalty,
-                    "f_progress": scrub(rec.f_progress),
-                    "p_progress": scrub(rec.p_progress),
-                    "cg_iterations": rec.cg_iterations,
-                    "solver_residual": rec.solver_residual,
-                }
-                for rec in self.history
-            ],
-        }
+        """Every field by name, in declaration order; history as one dict
+        per IterationRecord."""
+        out = _fields_as_json(self)
+        out["history"] = [_fields_as_json(rec) for rec in self.history]
+        return out
 
     def to_json(self, indent=None) -> str:
         return json.dumps(self.as_dict(), indent=indent, allow_nan=False)

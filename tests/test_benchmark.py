@@ -189,13 +189,18 @@ def test_reference_columns_rendered_when_name_matches():
         accuracy_pct=86.4198, train_misclassified=25, termination="converged",
     )
     record = render_csv([row], include_dcd=True).strip().split("\n")[1]
-    assert record.endswith(",86.4198,83.9500")
+    assert record == "heart,0.1,17,0,0.0010,86.4198,25,27,,,86.4198,83.9500"
+    entry = json.loads(render_json([row]))["rows"][0]
+    assert entry["reference"] == {
+        "k": 17, "cg": 0, "accuracy_pct": 86.4198, "dcd_l1_accuracy_pct": 83.95,
+    }
 
 
 def test_json_mirrors_csv_and_carries_history():
     rows = run_benchmark(small_suite(), (0.10,), quick_cfg())
     doc = json.loads(render_json(rows))
     assert doc["columns"] == list(CSV_COLUMNS)
+    assert doc["columns"] == render_csv(rows).split("\n")[0].split(",")
     assert doc["reference_sr"] == REFERENCE_SR
     assert len(doc["rows"]) == len(rows)
     for row, entry in zip(rows, doc["rows"]):

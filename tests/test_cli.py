@@ -1,19 +1,21 @@
 """End-to-end command-line tests driven through main(argv)."""
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scsvm.cli import build_parser, main, merge_solver_config
-from scsvm.data import parse_svmlight
+from scsvm.data import DatasetStats, parse_svmlight
 from scsvm.mpm import ModelTheta, MpmConfig
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 TOY = str(DATA / "separable_toy")
 TINY = str(DATA / "tiny")
 BLOBS = str(DATA / "noisy_blobs")
+DENSE_MID = str(DATA / "dense_mid")
 
 
 def run_cli(argv):
@@ -65,6 +67,22 @@ def test_train_iteration_cap_exits_two(workdir, capsys):
     code = run_cli(["train", "--data", BLOBS, "--sr", "0.1", "--max-outer", "5"])
     assert code == 2
     assert "termination: max_outer" in capsys.readouterr().out
+
+
+def _reject_constant(token):
+    raise ValueError(f"bare {token} is not strict JSON")
+
+
+def test_train_near_the_rho_cap_writes_a_strict_json_report(workdir, capsys):
+    # --rho-growth 10 drives rho toward its cap, where the dense solve's
+    # telemetry residual overflows to inf; the report must still be written
+    code = run_cli(["train", "--data", DENSE_MID, "--rho-growth", "10"])
+    assert code == 2
+    assert "termination: max_outer" in capsys.readouterr().out
+    text = (workdir / "dense_mid.report.json").read_text()
+    report = json.loads(text, parse_constant=_reject_constant)
+    assert report["termination"] == "max_outer"
+    assert len(report["history"]) == report["outer_iters"] + 1
 
 
 def test_predict_text_labels(workdir, capsys):
@@ -210,6 +228,18 @@ def test_bench_manifest_file(workdir, capsys):
     assert [l.split(",")[0] for l in lines[1:]] == ["separable_toy", "tiny"]
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--jobs", "0"), ("--jobs", "-5"), ("--split", "0"), ("--split", "1"),
+     ("--split", "1.5"), ("--split", "-0.2"), ("--split", "nan")],
+)
+def test_bench_rejects_out_of_range_jobs_and_split(workdir, capsys, flag, value):
+    assert run_cli(["bench", TINY, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert f"scsvm: {flag} must" in captured.err
+    assert captured.out == ""
+
+
 def test_bench_out_file(workdir):
     code = run_cli(["bench", TOY, "--sr-grid", "0.1", "--out", "rows.csv"])
     assert code == 0
@@ -226,12 +256,14 @@ def test_stats_csv_row(workdir, capsys):
     assert run_cli(["stats", TOY]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines == ["name,n,m,nnz,density_pct", "separable_toy,80,2,160,100.00"]
+    assert lines[0].split(",") == ["name", *(f.name for f in fields(DatasetStats))]
 
 
 def test_stats_json(workdir, capsys):
     assert run_cli(["stats", TINY, "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["tiny"] == {"n": 10, "m": 3, "nnz": 30, "density_pct": 100.0}
+    assert list(doc["tiny"]) == [f.name for f in fields(DatasetStats)]
 
 
 def test_env_var_resolves_names(workdir, monkeypatch, capsys):
@@ -285,6 +317,12 @@ def test_config_file_bad_line_exits_one(workdir, capsys):
     cfg.write_text("just some words\n")
     assert run_cli(["train", "--data", TOY, "--config", str(cfg)]) == 1
     assert "expected key=value" in capsys.readouterr().err
+
+    # a value that does not parse names its key, budget keys included
+    for key, value in (("s", "abc"), ("sr", "abc"), ("s", "1.5"), ("rho", "abc")):
+        cfg.write_text(f"{key} = {value}\n")
+        assert run_cli(["train", "--data", TOY, "--config", str(cfg)]) == 1
+        assert f"config key {key}: " in capsys.readouterr().err
 
 
 def test_argparse_usage_errors_exit_one(workdir, capsys):

@@ -4,6 +4,7 @@ import io
 import json
 import logging
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from scsvm.data import SparseDataset, parse_svmlight
 from scsvm.evaluate import predicted_labels
 from scsvm.linsys import CgConfig, RegularizedNormalOperator, cg_solve, dense_solve
 from scsvm.mpm import (
+    IterationRecord,
     ModelTheta,
     MpmConfig,
     TrainReport,
@@ -470,6 +472,18 @@ def test_infeasible_symmetric_data_reports_infinite_p_prog():
     payload = json.loads(report.to_json())
     assert payload["history"][1]["p_progress"] == "inf"
 
+    # near the rho cap the dense solve's telemetry residual overflows to inf;
+    # any non-finite float in any field is spelled the same way
+    overflowed = replace(
+        report.history[1], solver_residual=math.inf, f_value=math.nan, penalty=-math.inf
+    )
+    report = replace(report, rho_final=math.inf, history=(overflowed,))
+    payload = json.loads(report.to_json())
+    assert payload["rho_final"] == "inf"
+    assert payload["history"][0]["solver_residual"] == "inf"
+    assert payload["history"][0]["f_value"] == "nan"
+    assert payload["history"][0]["penalty"] == "-inf"
+
 
 @pytest.mark.parametrize(
     "text, m, termination, outer_iters",
@@ -529,6 +543,10 @@ def test_report_json_round_trip():
     assert payload["outer_iters"] == report.outer_iters
     assert len(payload["history"]) == len(report.history)
     assert payload["history"][-1]["penalty"] == report.history[-1].penalty
+    # the schema is the dataclasses' fields, in declaration order
+    assert list(payload) == [f.name for f in fields(TrainReport)]
+    for record in payload["history"]:
+        assert list(record) == [f.name for f in fields(IterationRecord)]
 
 
 # --- model serialization --------------------------------------------------
