@@ -234,6 +234,10 @@ def cmd_train(args) -> int:
     print(f"k: {report.outer_iters}")
     print(f"cg: {report.total_cg}")
     print(f"solve_path: {report.solve_path}")
+    if report.repeat_k is None:
+        print("repeat: none")
+    else:
+        print(f"repeat: k={report.repeat_k} period={report.repeat_period}")
     print(f"time_s: {report.wall_time_s:.4f}")
     print(f"train_accuracy_pct: {train_acc:.4f}")
     print(f"model: {model_path}")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dnrm2
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .data import SparseDataset
@@ -113,7 +114,8 @@ def dense_solve(op: RegularizedNormalOperator, rhs: np.ndarray) -> SolveOutcome:
     theta, info = _POTRS(c, rhs, lower=lower)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of potrs")
-    residual = float(np.linalg.norm(rhs - op.apply(theta)))
+    # nrm2 scales as it sums, so a residual near the rho cap stays finite
+    residual = float(dnrm2(rhs - op.apply(theta)))
     return SolveOutcome(theta=theta, iterations=0, final_residual=residual, converged=True)
 
 

@@ -16,6 +16,12 @@ training call (see matrix_forms).
 Stopping follows two progress measures. f_prog is used signed, exactly as
 defined: a negative value (f increased) passes its threshold trivially, so
 the conjunction with p_prog carries the real convergence burden.
+
+Each outer step is a deterministic map of the loop state (theta, rho): the
+projection, f_prev and the warm-start guess are functions of theta, the
+operator and its cached factor a function of rho. Once the state comes back
+bit for bit after one or two steps, every later step is known, and the rest of
+the run up to max_outer is filled in from the history instead of computed.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +221,8 @@ class TrainReport:
     budget: int
     rho_final: float
     tie_at_termination: bool
+    repeat_k: int | None  # first k whose state (theta, rho) equals an earlier one
+    repeat_period: int | None  # 1 (fixed point) or 2 (2-cycle)
     history: tuple[IterationRecord, ...]
 
     def objective_history(self) -> np.ndarray:
@@ -342,6 +351,9 @@ def mpm_train(ds: SparseDataset, cfg: MpmConfig) -> tuple[ModelTheta, TrainRepor
     ]
     total_cg = 0
     termination = "max_outer"
+    # (state, theta, proj) after each of the last two iterations
+    recent = deque(maxlen=2)
+    repeat_k = repeat_period = None
     start = time.perf_counter()
     for k in range(1, cfg.max_outer + 1):
         rhs = _rhs(proj.projected, ds.labels, at, rho)
@@ -375,6 +387,22 @@ def mpm_train(ds: SparseDataset, cfg: MpmConfig) -> tuple[ModelTheta, TrainRepor
         if cfg.rho_growth > 1.0 and pp > cfg.p_tol and rho < RHO_CAP:
             rho = min(rho * cfg.rho_growth, RHO_CAP)
             op = RegularizedNormalOperator(ds, rho, forms)
+        state = (theta.tobytes(), rho)
+        repeat_period = next(
+            (p for p, (seen, _, _) in enumerate(reversed(recent), start=1) if seen == state),
+            None,
+        )
+        if repeat_period is not None:
+            # iteration j > k repeats iteration j - period, up to max_outer
+            repeat_k = k
+            for j in range(k + 1, cfg.max_outer + 1):
+                record = replace(history[j - repeat_period], k=j)
+                history.append(record)
+                total_cg += record.cg_iterations
+            if (cfg.max_outer - k) % repeat_period:
+                _, theta, proj = recent[-1]
+            break
+        recent.append((state, theta, proj))
     wall = time.perf_counter() - start
 
     tie = proj.ties > 0
@@ -394,6 +422,8 @@ def mpm_train(ds: SparseDataset, cfg: MpmConfig) -> tuple[ModelTheta, TrainRepor
         budget=s,
         rho_final=rho,
         tie_at_termination=tie,
+        repeat_k=repeat_k,
+        repeat_period=repeat_period,
         history=tuple(history),
     )
     return model, report

@@ -1,10 +1,13 @@
-"""Builders shared by the test modules."""
+"""Builders and checks shared by the test modules."""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
 
+import scsvm.mpm as mpm_module
 from scsvm.data import SparseDataset
 
 
@@ -95,3 +98,29 @@ def narrow_cases(rng):
         dense_dataset(dense, rng.choice([-1.0, 1.0], size=30)),
         sparse_from_dense(np.zeros((9, 0)), rng.choice([-1.0, 1.0], size=9)),
     ]
+
+
+def count_solves(monkeypatch) -> list:
+    """Wrap the trainer's dense and CG solves; the returned list gains one
+    entry per call."""
+    calls = []
+    for name in ("dense_solve", "cg_solve"):
+        solve = getattr(mpm_module, name)
+
+        def counted(*args, _solve=solve, **kwargs):
+            calls.append(None)
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(mpm_module, name, counted)
+    return calls
+
+
+def assert_replayed(report, solves: int):
+    """A run whose state repeated solved once per iteration up to the repeat,
+    and every record after it equals the record one period earlier."""
+    assert report.repeat_period in (1, 2)
+    assert solves == report.repeat_k
+    assert report.outer_iters == len(report.history) - 1
+    assert report.total_cg == sum(rec.cg_iterations for rec in report.history)
+    for record in report.history[report.repeat_k + 1:]:
+        assert record == replace(report.history[record.k - report.repeat_period], k=record.k)

@@ -28,7 +28,7 @@ from scsvm.mpm import (
 from scsvm.projection import g_value
 
 from test_projection import enumeration_oracle
-from _util import random_dataset
+from _util import assert_replayed, count_solves, random_dataset
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 BUNDLED = ("separable_toy", "noisy_blobs", "dense_mid", "sparse_imbalanced", "tiny")
@@ -62,13 +62,17 @@ def load_real(name, criterion):
 
 @pytest.fixture(scope="module")
 def bundled_grid_reports():
-    """Every bundled dataset crossed with the full ratio grid, defaults."""
+    """Every bundled dataset crossed with the full ratio grid, defaults, with
+    the number of linear solves each run made."""
     out = []
-    for name in BUNDLED:
-        ds = parse_svmlight(DATA / name)
-        for sr in SR_GRID:
-            model, report = mpm_train(ds, MpmConfig(sr=sr))
-            out.append((name, ds.m, sr, model, report))
+    with pytest.MonkeyPatch.context() as mp:
+        solves = count_solves(mp)
+        for name in BUNDLED:
+            ds = parse_svmlight(DATA / name)
+            for sr in SR_GRID:
+                solves.clear()
+                model, report = mpm_train(ds, MpmConfig(sr=sr))
+                out.append((name, ds.m, sr, model, report, len(solves)))
     return out
 
 
@@ -89,7 +93,7 @@ def test_criterion_1_projection_matches_enumeration():
 
 def test_criterion_2_objective_descent_over_bundled_grid(bundled_grid_reports):
     worst = -np.inf
-    for name, _, sr, _, report in bundled_grid_reports:
+    for name, _, sr, _, report, _ in bundled_grid_reports:
         objs = report.objective_history()
         for prev, curr in zip(objs, objs[1:]):
             slack = (curr - prev) / (1.0 + abs(prev))
@@ -201,7 +205,7 @@ def test_criterion_7_hard_margin_limit():
 def test_criterion_8_dense_path_reports_zero_cg(bundled_grid_reports):
     narrow = [entry for entry in bundled_grid_reports if entry[1] < 100]
     assert narrow, "bundled suite must contain narrow datasets"
-    for name, _, sr, _, report in narrow:
+    for name, _, sr, _, report, _ in narrow:
         assert report.total_cg == 0, (name, sr)
     print(f"criterion 8: PASS - cg=0 on all {len(narrow)} narrow grid cells")
 
@@ -210,7 +214,7 @@ def test_bundled_grid_counts_are_pinned(bundled_grid_reports):
     """The reference protocol's exact outcome on the shipped grid; any change
     to the loop's arithmetic or tie rule shows up in these counts."""
     assert len(bundled_grid_reports) == 30
-    reports = [report for *_, report in bundled_grid_reports]
+    reports = [report for _, _, _, _, report, _ in bundled_grid_reports]
     assert sum(r.outer_iters for r in reports) == 18185
     assert sum(r.termination == "converged" for r in reports) == 12
     assert sum(r.tie_at_termination for r in reports) == 6
@@ -224,7 +228,7 @@ def test_bundled_grid_cells_are_pinned_and_match_the_csr_reference(bundled_grid_
     monkeypatch.setattr(mpm_module, "matrix_forms", lambda ds, dense: (ds.matrix(), ds.matrix_t()))
     datasets = {name: parse_svmlight(DATA / name) for name in BUNDLED}
     worst = 0.0
-    for name, _, sr, model, report in bundled_grid_reports:
+    for name, _, sr, model, report, _ in bundled_grid_reports:
         pinned = GRID_CELLS[name][SR_GRID.index(sr)]
         assert (report.outer_iters, report.termination, report.tie_at_termination) == pinned, (name, sr)
         ref_model, ref = mpm_train(datasets[name], MpmConfig(sr=sr))
@@ -234,6 +238,33 @@ def test_bundled_grid_cells_are_pinned_and_match_the_csr_reference(bundled_grid_
         assert rel <= 1e-12, (name, sr, rel)
         worst = max(worst, rel)
     print(f"grid pins: PASS - 30 cells, largest relative model difference {worst:.1e}")
+
+
+def test_bundled_grid_replays_from_the_first_repeat(bundled_grid_reports):
+    """17 capped cells reach an exact fixed point or 2-cycle of the loop state
+    (theta, rho) and fill in the rest of the run instead of solving it: 8,694
+    solves for the grid's 18,185 outer iterations."""
+    datasets = {name: parse_svmlight(DATA / name) for name in BUNDLED}
+    periods = {}
+    for name, _, sr, model, report, solves in bundled_grid_reports:
+        if report.repeat_k is None:
+            assert solves == report.outer_iters, (name, sr)
+            continue
+        assert report.termination == "max_outer", (name, sr)
+        assert_replayed(report, solves)
+        periods[name, sr] = report.repeat_period
+        # the model and tie flag are those of the last computed iteration in
+        # the final iteration's phase, where a run capped there stops
+        phase = (report.outer_iters - report.repeat_k) % report.repeat_period
+        cut_model, cut = mpm_train(datasets[name], MpmConfig(sr=sr, max_outer=report.repeat_k - phase))
+        assert model.as_vector().tobytes() == cut_model.as_vector().tobytes(), (name, sr)
+        assert report.tie_at_termination == cut.tie_at_termination, (name, sr)
+    assert len(periods) == 17
+    assert [cell for cell, period in periods.items() if period == 2] == [
+        ("sparse_imbalanced", 0.01), ("sparse_imbalanced", 0.15)
+    ]
+    assert sum(solves for *_, solves in bundled_grid_reports) == 8694
+    print(f"grid replay: PASS - {len(periods)} cells replayed, 8694 solves")
 
 
 @pytest.mark.realdata

@@ -1,6 +1,8 @@
 """End-to-end command-line tests driven through main(argv)."""
 
 import json
+import math
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -43,12 +45,24 @@ def test_train_writes_model_and_report(workdir, capsys):
     assert "termination: converged" in out
     assert "k: 1" in out
     assert "solve_path: dense" in out
+    assert "repeat: none" in out
     assert "train_accuracy_pct: 100.0000" in out
     assert model_path.exists()
     report = json.loads((workdir / "separable_toy.report.json").read_text())
     assert report["termination"] == "converged"
     assert report["solve_path"] == "dense"
     assert report["budget"] == 0
+    assert report["repeat_k"] is None and report["repeat_period"] is None
+
+
+def test_train_summary_names_the_first_repeat(workdir, capsys):
+    code = run_cli(["train", "--data", DENSE_MID, "--sr", "0.01"])
+    assert code == 2
+    out = capsys.readouterr().out
+    assert "k: 1000" in out
+    assert "repeat: k=50 period=1" in out
+    report = json.loads((workdir / "dense_mid.report.json").read_text())
+    assert (report["repeat_k"], report["repeat_period"]) == (50, 1)
 
 
 def test_train_rejects_both_budget_forms(workdir, capsys):
@@ -74,15 +88,19 @@ def _reject_constant(token):
 
 
 def test_train_near_the_rho_cap_writes_a_strict_json_report(workdir, capsys):
-    # --rho-growth 10 drives rho toward its cap, where the dense solve's
-    # telemetry residual overflows to inf; the report must still be written
-    code = run_cli(["train", "--data", DENSE_MID, "--rho-growth", "10"])
+    # --rho-growth 10 drives rho toward its cap, where the squares of the
+    # dense solve's telemetry residual overflow unless its norm is scaled
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run_cli(["train", "--data", DENSE_MID, "--rho-growth", "10"])
     assert code == 2
     assert "termination: max_outer" in capsys.readouterr().out
     text = (workdir / "dense_mid.report.json").read_text()
     report = json.loads(text, parse_constant=_reject_constant)
     assert report["termination"] == "max_outer"
     assert len(report["history"]) == report["outer_iters"] + 1
+    residuals = [rec["solver_residual"] for rec in report["history"][1:]]
+    assert all(isinstance(r, float) and math.isfinite(r) for r in residuals)
 
 
 def test_predict_text_labels(workdir, capsys):

@@ -115,7 +115,9 @@ def test_dense_solve_is_cho_solve_to_the_bit():
     for _ in range(5):
         rhs = rng.normal(size=ds.m + 1)
         want = scipy.linalg.cho_solve(factor, rhs)
-        assert dense_solve(op, rhs).theta.tobytes() == want.tobytes()
+        first, again = dense_solve(op, rhs), dense_solve(op, rhs)
+        assert first.theta.tobytes() == want.tobytes() == again.theta.tobytes()
+        assert first.final_residual == again.final_residual
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -214,9 +216,17 @@ def test_cg_warm_start_helps_on_repeated_solve():
     ds = random_dataset(rng, n=60, m=30)
     op = RegularizedNormalOperator(ds, rho=0.4)
     rhs = rng.normal(size=31)
-    cold = cg_solve(op, rhs, CgConfig(tol=1e-8, max_iter=500))
-    warm = cg_solve(op, rhs, CgConfig(tol=1e-8, max_iter=500), x0=cold.theta)
+    cfg = CgConfig(tol=1e-8, max_iter=500)
+    cold = cg_solve(op, rhs, cfg)
+    warm = cg_solve(op, rhs, cfg, x0=cold.theta)
     assert warm.iterations <= 1
+    # the trainer replays its loop once the state repeats, which relies on
+    # identical inputs giving identical bits, cold and warm
+    guess = rng.normal(size=31)
+    for x0 in (None, guess):
+        first, again = cg_solve(op, rhs, cfg, x0=x0), cg_solve(op, rhs, cfg, x0=x0)
+        assert first.theta.tobytes() == again.theta.tobytes()
+        assert (first.iterations, first.final_residual) == (again.iterations, again.final_residual)
 
 
 def test_config_validation():

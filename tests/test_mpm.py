@@ -31,7 +31,15 @@ from scsvm.mpm import (
 )
 from scsvm.projection import g_value, project_omega_s
 
-from _util import dense_dataset, gaussian_blobs, narrow_cases, noisy_linear_dataset, random_dataset
+from _util import (
+    assert_replayed,
+    count_solves,
+    dense_dataset,
+    gaussian_blobs,
+    narrow_cases,
+    noisy_linear_dataset,
+    random_dataset,
+)
 
 
 def tight_pair_clusters(n: int, center: float = 10.0, seed: int = 0) -> SparseDataset:
@@ -419,6 +427,37 @@ def test_rho_growth_saturates_instead_of_overflowing():
     assert math.isfinite(report.history[-1].objective)
 
 
+@pytest.mark.parametrize("warm, repeat_k", [(True, 18), (False, 103)])
+def test_cg_fixed_point_is_replayed(monkeypatch, warm, repeat_k):
+    # a warm start at a fixed point passes CG's test before its first step
+    rng = np.random.default_rng(43)
+    ds = noisy_linear_dataset(rng, n=40, m=8, flip=0.1).with_feature_count(150)
+    solves = count_solves(monkeypatch)
+    _, report = mpm_train(ds, MpmConfig(sr=0.1, cg_warm_start=warm))
+    assert (report.solve_path, report.termination, report.outer_iters) == ("cg", "max_outer", 1000)
+    assert (report.repeat_k, report.repeat_period) == (repeat_k, 1)
+    assert_replayed(report, len(solves))
+
+
+def test_replay_waits_for_rho_to_saturate(monkeypatch):
+    """The loop state is (theta, rho), not theta alone. On label-only data
+    the bias, and with it the penalty, stops moving at k = 7 while rho keeps
+    growing tenfold per step; the first repeat comes after rho reaches its
+    cap at the end of iteration 201."""
+    ds = parse_svmlight(io.StringIO("+1\n-1\n" * 5))
+    solves = count_solves(monkeypatch)
+    _, report = mpm_train(ds, MpmConfig(sr=0.10, rho_growth=10.0, max_outer=400))
+    assert report.rho_final == mpm_module.RHO_CAP
+    assert (report.repeat_k, report.repeat_period) == (203, 1)
+    assert_replayed(report, len(solves))
+    penalty = report.history[7].penalty
+    assert all(rec.penalty == penalty for rec in report.history[7:])
+    objective = report.objective_history()
+    # record k weighs the penalty with the rho set after iteration k - 1
+    np.testing.assert_allclose(objective[8:202] / objective[7:201], 10.0, rtol=1e-12)
+    np.testing.assert_allclose(objective[202:], mpm_module.RHO_CAP * penalty, rtol=1e-15)
+
+
 def test_warm_start_run_still_converges_and_descends():
     rng = np.random.default_rng(43)
     ds = noisy_linear_dataset(rng, n=40, m=8, flip=0.1).with_feature_count(150)
@@ -499,9 +538,10 @@ def test_infeasible_symmetric_data_reports_infinite_p_prog():
         ),
     ],
 )
-def test_degenerate_files_train_to_a_finite_model(text, m, termination, outer_iters):
+def test_degenerate_files_train_to_a_finite_model(monkeypatch, text, m, termination, outer_iters):
     ds = parse_svmlight(io.StringIO(text))
     assert (ds.n, ds.m) == (10, m)
+    solves = count_solves(monkeypatch)
     model, report = mpm_train(ds, MpmConfig(sr=0.10))
     assert np.all(np.isfinite(model.omega)) and math.isfinite(model.b)
     assert model.m == m
@@ -513,7 +553,11 @@ def test_degenerate_files_train_to_a_finite_model(text, m, termination, outer_it
         # symmetric classes with no usable feature: omega stays exactly 0
         assert not np.any(model.omega)
         assert model.b == pytest.approx(-1.0 / 9.0, rel=1e-12)
+        # b settles within a few steps, after which the run is a replay
+        assert report.repeat_k is not None and len(solves) < 20
+        assert_replayed(report, len(solves))
     else:
+        assert report.repeat_k is None and len(solves) == outer_iters
         np.testing.assert_array_equal(predicted_labels(model, ds), np.ones(10))
 
 
