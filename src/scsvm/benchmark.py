@@ -106,8 +106,7 @@ def _run_cell(
     test: SparseDataset | None,
     sr: float,
     cfg: MpmConfig,
-    compare_dcd: bool,
-    dcd_cfg: DcdConfig,
+    dcd: DcdConfig | None,
 ) -> BenchmarkRow:
     try:
         cell_cfg = replace(cfg, sr=sr, s=None)
@@ -129,11 +128,11 @@ def _run_cell(
         termination=report.termination,
         report=report,
     )
-    if not compare_dcd:
+    if dcd is None:
         return row
     try:
         t0 = perf_counter()
-        dcd_model, dcd_result = dcd_train(train, dcd_cfg)
+        dcd_model, dcd_result = dcd_train(train, dcd)
         dcd_time = perf_counter() - t0
         dcd_acc = accuracy(dcd_model, test if test is not None else train)
     except Exception as exc:  # noqa: BLE001
@@ -152,18 +151,17 @@ def run_benchmark(
     cfg: MpmConfig | None = None,
     *,
     jobs: int = 1,
-    compare_dcd: bool = False,
-    dcd_cfg: DcdConfig | None = None,
+    dcd: DcdConfig | None = None,
 ) -> list[BenchmarkRow]:
     """One training run per (dataset, ratio); returns rows in grid order.
 
     datasets holds (name, train) or (name, train, test) tuples. The budget
     ratio of cfg is overridden per cell; every other knob passes through.
     jobs > 1 runs cells in a thread pool over the shared immutable datasets;
-    keep the default of 1 when timing numbers matter.
+    keep the default of 1 when timing numbers matter. A dcd config also
+    trains the coordinate-descent baseline on every cell; None skips it.
     """
     base = cfg if cfg is not None else MpmConfig(sr=REFERENCE_SR)
-    baseline_cfg = dcd_cfg if dcd_cfg is not None else DcdConfig()
     cells = [
         (name, train, test, float(sr))
         for name, train, test in map(_normalize, datasets)
@@ -171,13 +169,8 @@ def run_benchmark(
     ]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(
-                pool.map(
-                    lambda c: _run_cell(*c, base, compare_dcd, baseline_cfg),
-                    cells,
-                )
-            )
-    return [_run_cell(*c, base, compare_dcd, baseline_cfg) for c in cells]
+            return list(pool.map(lambda c: _run_cell(*c, base, dcd), cells))
+    return [_run_cell(*c, base, dcd) for c in cells]
 
 
 def _fmt(value, spec: str = "") -> str:

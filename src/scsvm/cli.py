@@ -309,10 +309,6 @@ def _sr_grid(raw: str | None) -> tuple[float, ...]:
     return grid
 
 
-def _failed_rows(name: str, grid, message: str) -> list[BenchmarkRow]:
-    return [BenchmarkRow(dataset=name, sr=sr, error=message) for sr in grid]
-
-
 def _display_name(raw: str) -> str:
     # rows and stats lines show the basename, not the path the shell used
     return Path(raw).name or raw
@@ -331,37 +327,22 @@ def cmd_bench(args) -> int:
     cfg, seed = merge_solver_config(args)
     grid = _sr_grid(args.sr_grid)
 
-    loaded: dict[str, tuple] = {}
-    failures: dict[str, str] = {}
-    for name in names:
+    dcd = DcdConfig(C=args.dcd_c, seed=seed) if args.compare_dcd else None
+
+    def dataset_rows(name: str) -> list[BenchmarkRow]:
+        # the data goes out of scope on return, so only one dataset is in
+        # memory at a time; one that fails to load or split fills its rows
+        # with the error and the sweep goes on
         try:
             ds = load_dataset(name)
-            if args.split:
-                train, test = split(ds, args.split, seed)
-                loaded[name] = (_display_name(name), train, test)
-            else:
-                loaded[name] = (_display_name(name), ds)
+            parts = split(ds, args.split, seed) if args.split else (ds,)
         except (CliError, ValueError) as exc:
-            failures[name] = str(exc)
+            return [BenchmarkRow(dataset=name, sr=sr, error=str(exc)) for sr in grid]
+        del ds  # a split trains and scores on its two parts alone
+        entry = (_display_name(name), *parts)
+        return run_benchmark([entry], grid, cfg, jobs=args.jobs, dcd=dcd)
 
-    measured = run_benchmark(
-        [loaded[n] for n in names if n in loaded],
-        grid,
-        cfg,
-        jobs=args.jobs,
-        compare_dcd=args.compare_dcd,
-        dcd_cfg=DcdConfig(C=args.dcd_c, seed=seed),
-    )
-    # reassemble in the order the datasets were given, grid-major per dataset
-    rows: list[BenchmarkRow] = []
-    cursor = 0
-    for name in names:
-        if name in loaded:
-            rows.extend(measured[cursor : cursor + len(grid)])
-            cursor += len(grid)
-        else:
-            rows.extend(_failed_rows(name, grid, failures[name]))
-
+    rows = [row for name in names for row in dataset_rows(name)]
     if args.format == "json":
         _emit(render_json(rows), args.out)
     else:
@@ -445,10 +426,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"scsvm: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError, np.linalg.LinAlgError) as exc:
+    except (CliError, OSError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"scsvm: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -9,6 +9,7 @@ that training requires.
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -23,6 +24,7 @@ __all__ = [
     "remap_labels",
     "serialize_svmlight",
     "split",
+    "text_file",
 ]
 
 # guards the one-time build of a dataset's matrix forms, which threads
@@ -158,15 +160,6 @@ class SparseDataset:
             ptr, self.col_idx[picks], self.values[picks], self.labels[rows], self.m
         )
 
-    def same_content(self, other: "SparseDataset") -> bool:
-        return (
-            self.m == other.m
-            and np.array_equal(self.row_ptr, other.row_ptr)
-            and np.array_equal(self.col_idx, other.col_idx)
-            and np.array_equal(self.values, other.values)
-            and np.array_equal(self.labels, other.labels)
-        )
-
 
 @dataclass(frozen=True)
 class LabelMap:
@@ -179,16 +172,6 @@ class LabelMap:
             raise ValueError("label map needs exactly two raw labels")
         if set(self.mapping.values()) != {-1.0, 1.0}:
             raise ValueError("label map image must be {-1, +1}")
-
-    @classmethod
-    def infer(cls, labels) -> "LabelMap":
-        """Ascending order: the smaller raw label becomes -1."""
-        distinct = np.unique(np.asarray(labels, dtype=np.float64))
-        if distinct.size != 2:
-            raise ValueError(
-                f"need exactly two distinct labels to infer a map, got {distinct.size}"
-            )
-        return cls({float(distinct[0]): -1.0, float(distinct[1]): 1.0})
 
 
 def remap_labels(ds: SparseDataset, label_map: LabelMap) -> SparseDataset:
@@ -203,6 +186,22 @@ def remap_labels(ds: SparseDataset, label_map: LabelMap) -> SparseDataset:
     lut = {float(k): v for k, v in label_map.mapping.items()}
     new_labels = np.array([lut[float(v)] for v in ds.labels])
     return SparseDataset(ds.row_ptr, ds.col_idx, ds.values, new_labels, ds.m)
+
+
+@contextmanager
+def text_file(target, mode: str = "r"):
+    """Yield (file, name) for a path or an open text stream.
+
+    A path is opened as ASCII text in mode ("r" or "w"), closed on exit and
+    named str(Path(target)). A stream is used as it is and named by its name
+    attribute, or "<stream>" without one.
+    """
+    if hasattr(target, "read" if mode == "r" else "write"):
+        yield target, getattr(target, "name", "<stream>")
+        return
+    path = Path(target)
+    with path.open(mode, encoding="ascii") as fh:
+        yield fh, str(path)
 
 
 def _parse_lines(lines, name: str, n_features, first_lineno: int) -> SparseDataset:
@@ -346,29 +345,19 @@ def parse_svmlight(source, n_features: int | None = None) -> SparseDataset:
     wider (never narrower) dataset. Lines are parsed in batches; a batch with
     a bad line is parsed again line by line, so the error names that line.
     """
-    if hasattr(source, "read"):
-        return _parse_stream(source, getattr(source, "name", "<stream>"), n_features)
-    path = Path(source)
-    with path.open("r", encoding="ascii") as fh:
-        return _parse_stream(fh, str(path), n_features)
+    with text_file(source) as (fh, name):
+        return _parse_stream(fh, name, n_features)
 
 
 def serialize_svmlight(ds: SparseDataset, target) -> None:
     """Write svmlight text whose re-parse reproduces ds bit for bit."""
-
-    def write(fh):
+    with text_file(target, "w") as (fh, _):
         for i in range(ds.n):
             cidx, cval = ds.row(i)
             parts = [repr(float(ds.labels[i]))]
             parts.extend(f"{c + 1}:{v!r}" for c, v in zip(cidx.tolist(), cval.tolist()))
             fh.write(" ".join(parts))
             fh.write("\n")
-
-    if hasattr(target, "write"):
-        write(target)
-    else:
-        with Path(target).open("w", encoding="ascii") as fh:
-            write(fh)
 
 
 def split(ds: SparseDataset, test_fraction: float, seed: int):

@@ -11,6 +11,7 @@ depends only on the data and rho, not on the iterate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,9 @@ __all__ = ["CgConfig", "RegularizedNormalOperator", "SolveOutcome", "cg_solve", 
 
 # the LAPACK routine scipy.linalg.cho_solve calls, looked up once
 (_POTRS,) = get_lapack_funcs(("potrs",), dtype=np.float64)
+
+# cg_solve scales an rhs or guess with a larger entry down to below 1
+_SCALE_ABOVE = 2.0**64
 
 
 @dataclass(frozen=True)
@@ -119,25 +123,33 @@ def dense_solve(op: RegularizedNormalOperator, rhs: np.ndarray) -> SolveOutcome:
     return SolveOutcome(theta=theta, iterations=0, final_residual=residual, converged=True)
 
 
-def cg_solve(op, rhs: np.ndarray, cfg: CgConfig = CgConfig(), x0=None, callback=None) -> SolveOutcome:
+def cg_solve(op, rhs: np.ndarray, cfg: CgConfig = CgConfig(), x0=None) -> SolveOutcome:
     """Unpreconditioned conjugate gradients on the normal operator.
 
     Stops when the 2-norm of the residual drops to cfg.tol (absolute), or
     after cfg.max_iter steps with converged=False. The initial guess is zero
-    unless x0 is given. callback(x, residual_norm) runs once per iteration.
+    unless x0 is given.
+
+    An rhs or guess with an entry above 2**64 is solved scaled down by a
+    power of two, and the result scaled back. Scaling by a power of two
+    changes no bits where nothing underflows, and it keeps d^T A d finite
+    as rho grows toward its cap.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
-    if x0 is None:
-        x = np.zeros_like(rhs)
-        r = rhs.copy()
-    else:
-        x = np.asarray(x0, dtype=np.float64).copy()
-        r = rhs - op.apply(x)
+    x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=np.float64)
+    scale = 1.0
+    big = max(np.abs(rhs).max(initial=0.0), np.abs(x).max(initial=0.0))
+    if _SCALE_ABOVE < big < math.inf:
+        scale = math.ldexp(1.0, -math.frexp(big)[1])
+        rhs = rhs * scale
+        x *= scale
+    tol = cfg.tol * scale
+    r = rhs.copy() if x0 is None else rhs - op.apply(x)
     rs = float(r @ r)
     if not np.isfinite(rs):
         raise np.linalg.LinAlgError("non-finite residual in conjugate gradient")
-    if np.sqrt(rs) <= cfg.tol:
-        return SolveOutcome(x, 0, float(np.sqrt(rs)), True)
+    if np.sqrt(rs) <= tol:
+        return SolveOutcome(x / scale, 0, float(np.sqrt(rs)) / scale, True)
     d = r.copy()
     for it in range(1, cfg.max_iter + 1):
         ad = op.apply(d)
@@ -153,10 +165,8 @@ def cg_solve(op, rhs: np.ndarray, cfg: CgConfig = CgConfig(), x0=None, callback=
         rs_new = float(r @ r)
         if not np.isfinite(rs_new):
             raise np.linalg.LinAlgError("non-finite residual in conjugate gradient")
-        if callback is not None:
-            callback(x.copy(), float(np.sqrt(rs_new)))
-        if np.sqrt(rs_new) <= cfg.tol:
-            return SolveOutcome(x, it, float(np.sqrt(rs_new)), True)
+        if np.sqrt(rs_new) <= tol:
+            return SolveOutcome(x / scale, it, float(np.sqrt(rs_new)) / scale, True)
         d = r + (rs_new / rs) * d
         rs = rs_new
-    return SolveOutcome(x, cfg.max_iter, float(np.sqrt(rs)), False)
+    return SolveOutcome(x / scale, cfg.max_iter, float(np.sqrt(rs)) / scale, False)

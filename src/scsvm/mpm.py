@@ -32,11 +32,10 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
-from .data import SparseDataset
+from .data import SparseDataset, text_file
 from .linsys import CgConfig, RegularizedNormalOperator, cg_solve, dense_solve
 from .projection import g_value, project_omega_s
 
@@ -92,21 +91,14 @@ class ModelTheta:
     def save(self, target) -> None:
         """Text format: header "m b", one "index value" line per nonzero of
         omega (0-based indices); floats as shortest round-trip decimals."""
-
-        def write(fh):
+        with text_file(target, "w") as (fh, _):
             fh.write(f"{self.m} {self.b!r}\n")
             for i in np.flatnonzero(self.omega != 0.0):
                 fh.write(f"{i} {self.omega[i].item()!r}\n")
 
-        if hasattr(target, "write"):
-            write(target)
-        else:
-            with Path(target).open("w", encoding="ascii") as fh:
-                write(fh)
-
     @classmethod
     def load(cls, source) -> "ModelTheta":
-        def read(fh, name):
+        with text_file(source) as (fh, name):
             header = fh.readline().split()
             if len(header) != 2:
                 raise ValueError(f"{name}: malformed model header")
@@ -130,13 +122,7 @@ class ModelTheta:
                 if not 0 <= idx < m:
                     raise ValueError(f"{name}, line {lineno}: index {idx} outside [0, {m})")
                 omega[idx] = val
-            return cls(omega, b)
-
-        if hasattr(source, "readline"):
-            return read(source, getattr(source, "name", "<stream>"))
-        path = Path(source)
-        with path.open("r", encoding="ascii") as fh:
-            return read(fh, str(path))
+        return cls(omega, b)
 
 
 @dataclass(frozen=True)

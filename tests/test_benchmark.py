@@ -18,6 +18,7 @@ from scsvm.benchmark import (
     run_benchmark,
 )
 from scsvm.data import SparseDataset
+from scsvm.dcd import DcdConfig
 from scsvm.mpm import MpmConfig
 
 from test_mpm import tight_pair_clusters
@@ -150,7 +151,7 @@ def test_jobs_parallel_matches_serial():
 
 
 def test_compare_mode_adds_baseline_and_reference_columns():
-    rows = run_benchmark(small_suite(), (0.10,), quick_cfg(), compare_dcd=True)
+    rows = run_benchmark(small_suite(), (0.10,), quick_cfg(), dcd=DcdConfig())
     for row in rows:
         assert row.dcd_accuracy_pct is not None
         assert row.dcd_time_s > 0.0

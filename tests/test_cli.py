@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scsvm.benchmark import CSV_COLUMNS
 from scsvm.cli import build_parser, main, merge_solver_config
 from scsvm.data import DatasetStats, parse_svmlight
 from scsvm.mpm import ModelTheta, MpmConfig
@@ -101,6 +102,25 @@ def test_train_near_the_rho_cap_writes_a_strict_json_report(workdir, capsys):
     assert len(report["history"]) == report["outer_iters"] + 1
     residuals = [rec["solver_residual"] for rec in report["history"][1:]]
     assert all(isinstance(r, float) and math.isfinite(r) for r in residuals)
+
+
+@pytest.mark.parametrize("name, code", [("noisy_blobs", 0), ("dense_mid", 2)])
+def test_train_on_the_cg_path_runs_up_to_the_rho_cap(workdir, capsys, name, code):
+    # CG solves a large rhs scaled down by a power of two, so d^T A d stays
+    # finite up to the rho cap and the run ends as the dense path's does
+    argv = ["train", "--data", str(DATA / name), "--rho-growth", "10"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli([*argv, "--dense-threshold", "1"]) == code
+        cg_out = capsys.readouterr().out
+        report_path = workdir / f"{name}.report.json"
+        report = json.loads(report_path.read_text(), parse_constant=_reject_constant)
+        assert run_cli([*argv, "--model", "dense.model", "--report", "dense.json"]) == code
+    dense = json.loads((workdir / "dense.json").read_text())
+    assert "solve_path: cg" in cg_out
+    assert (report["solve_path"], report["rho_final"]) == ("cg", 1e200)
+    assert report["termination"] == dense["termination"]
+    assert report["outer_iters"] == dense["outer_iters"]
 
 
 def test_predict_text_labels(workdir, capsys):
@@ -258,6 +278,43 @@ def test_bench_rejects_out_of_range_jobs_and_split(workdir, capsys, flag, value)
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [("0.1,abc", "bad --sr-grid: "), (" , ", "--sr-grid is empty")],
+    ids=["bad-value", "empty"],
+)
+def test_bench_rejects_a_bad_sr_grid(workdir, capsys, grid, message):
+    assert run_cli(["bench", TINY, "--sr-grid", grid]) == 1
+    captured = capsys.readouterr()
+    assert f"scsvm: {message}" in captured.err
+    assert captured.out == ""
+
+
+def test_bench_split_failure_marks_only_its_own_rows(workdir, capsys):
+    Path("single").write_text("+1 1:1\n")
+    code = run_cli(["bench", "single", TOY, "--split", "0.2", "--sr-grid", "0.1,0.5",
+                    "--format", "json"])
+    assert code == 1
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [(row["dataset"], row["sr"]) for row in rows] == [
+        ("single", 0.1), ("single", 0.5), ("separable_toy", 0.1), ("separable_toy", 0.5),
+    ]
+    assert all("leaves an empty part" in row["error"] for row in rows[:2])
+    assert all(row["error"] is None and row["k"] >= 1 for row in rows[2:])
+
+
+def test_bench_repeated_dataset_gives_a_block_per_mention(workdir, capsys):
+    assert run_cli(["bench", TINY, TOY, TINY, "--sr-grid", "0.1,0.5"]) == 0
+    records = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+    assert [record[:2] for record in records] == [
+        ["tiny", "0.1"], ["tiny", "0.5"], ["separable_toy", "0.1"], ["separable_toy", "0.5"],
+        ["tiny", "0.1"], ["tiny", "0.5"],
+    ]
+    time_s = CSV_COLUMNS.index("time_s")
+    for first, again in zip(records[:2], records[4:]):
+        assert first[:time_s] + first[time_s + 1:] == again[:time_s] + again[time_s + 1:]
+
+
 def test_bench_out_file(workdir):
     code = run_cli(["bench", TOY, "--sr-grid", "0.1", "--out", "rows.csv"])
     assert code == 0
@@ -316,6 +373,23 @@ def test_no_flags_and_no_config_give_the_library_defaults():
     assert merge_solver_config(args) == (MpmConfig(sr=0.10), 42)
 
 
+@pytest.mark.parametrize(
+    "flags, config, expected",
+    [
+        (["--s", "5"], None, MpmConfig(s=5)),
+        ([], "cg_warm_start = yes\n", MpmConfig(sr=0.10, cg_warm_start=True)),
+        (["--sr", "0.2"], "s = 3\ncg_warm_start = off\n", MpmConfig(sr=0.2)),
+    ],
+    ids=["s-flag", "warm-start-yes", "warm-start-off"],
+)
+def test_flags_and_config_file_merge_into_the_library_config(workdir, flags, config, expected):
+    argv = ["train", "--data", TOY, *flags]
+    if config is not None:
+        (workdir / "run.cfg").write_text(config)
+        argv += ["--config", "run.cfg"]
+    assert merge_solver_config(build_parser().parse_args(argv)) == (expected, 42)
+
+
 def test_config_file_unknown_key_exits_one(workdir, capsys):
     cfg = workdir / "run.cfg"
     cfg.write_text("rho_gorwth = 2\n")
@@ -337,7 +411,8 @@ def test_config_file_bad_line_exits_one(workdir, capsys):
     assert "expected key=value" in capsys.readouterr().err
 
     # a value that does not parse names its key, budget keys included
-    for key, value in (("s", "abc"), ("sr", "abc"), ("s", "1.5"), ("rho", "abc")):
+    for key, value in (("s", "abc"), ("sr", "abc"), ("s", "1.5"), ("rho", "abc"),
+                       ("cg_warm_start", "maybe")):
         cfg.write_text(f"{key} = {value}\n")
         assert run_cli(["train", "--data", TOY, "--config", str(cfg)]) == 1
         assert f"config key {key}: " in capsys.readouterr().err

@@ -188,16 +188,32 @@ def test_cg_energy_norm_error_is_monotone():
     op = RegularizedNormalOperator(ds, rho=0.4)
     rhs = rng.normal(size=21)
     exact = dense_solve(op, rhs).theta
+    steps = cg_solve(op, rhs, CgConfig(tol=1e-12, max_iter=500)).iterations
+    assert steps >= 3
     energies = []
-
-    def watch(x, _residual):
-        e = x - exact
+    # a run capped at k steps stops at the k-th iterate of the uncapped run
+    for cap in range(1, steps + 1):
+        e = cg_solve(op, rhs, CgConfig(tol=1e-12, max_iter=cap)).theta - exact
         energies.append(float(e @ op.apply(e)))
-
-    cg_solve(op, rhs, CgConfig(tol=1e-12, max_iter=500), callback=watch)
-    assert len(energies) >= 3
     diffs = np.diff(energies)
     assert np.all(diffs <= 1e-10 * (1.0 + np.abs(energies[:-1])))
+
+
+def test_cg_scales_a_large_system_exactly():
+    # a power-of-two scale of rhs, guess and tolerance changes no bits, so
+    # the solve that cg_solve scales down internally is the unscaled one
+    # scaled back, however large rhs grows
+    rng = np.random.default_rng(23)
+    op = RegularizedNormalOperator(random_dataset(rng, n=40, m=20), rho=0.4)
+    rhs, guess = rng.normal(size=21), rng.normal(size=21)
+    big = 2.0**900
+    for x0 in (None, guess):
+        small = cg_solve(op, rhs, CgConfig(tol=1e-9), x0=x0)
+        big_x0 = None if x0 is None else x0 * big
+        large = cg_solve(op, rhs * big, CgConfig(tol=1e-9 * big), x0=big_x0)
+        assert (large.iterations, large.converged) == (small.iterations, small.converged)
+        assert large.theta.tobytes() == (small.theta * big).tobytes()
+        assert large.final_residual == small.final_residual * big
 
 
 def test_cg_raises_on_nonfinite():
