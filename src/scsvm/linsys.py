@@ -1,12 +1,14 @@
 """The regularized normal system behind each training step.
 
 Every outer iteration solves (P^T P + rho Q^T Q) theta = rhs where
-P = [I 0] strips the bias and Q = [A 1] appends it. The operator is applied
-matrix-free: Q^T Q is never formed, only products with A and A^T in the form
-the caller chose, the dataset's cached CSR/CSC pair by default or an ndarray
-and its transpose view. For narrow problems a dense Cholesky factorization of
-the same matrix is cheaper than iterating; it is cached because the matrix
-depends only on the data and rho, not on the iterate.
+P = [I 0] strips the bias and Q = [A 1] appends it. On the CG path the
+operator is applied matrix-free: Q^T Q is never formed, only products with A
+and A^T in the form the caller chose, the dataset's cached CSR/CSC pair by
+default or an ndarray and its transpose view. For narrow problems the matrix
+is materialized and a dense Cholesky factorization of it is cheaper than
+iterating. The matrix and its factor are cached per operator, because they
+depend only on the data and rho, not on the iterate; the Gram matrix A^T A
+inside them depends on the data alone and is shared with every with_rho copy.
 """
 
 from __future__ import annotations
@@ -53,11 +55,12 @@ class SolveOutcome:
 
 
 class RegularizedNormalOperator:
-    """theta -> [omega; 0] + rho * Q^T (Q theta), applied matrix-free.
+    """theta -> [omega; 0] + rho * Q^T (Q theta).
 
     forms is the (A, A^T) pair that apply multiplies: by default the
     dataset's cached CSR and CSC forms; an n x m ndarray and its transpose
-    view make every product a BLAS gemv.
+    view make every product a BLAS gemv. Once dense_solve has factored the
+    materialized matrix H, apply is H @ v instead.
     """
 
     def __init__(self, dataset: SparseDataset, rho: float, forms=None):
@@ -69,12 +72,23 @@ class RegularizedNormalOperator:
         if forms is None:
             forms = (dataset.matrix(), dataset.matrix_t())
         self._a, self._at = forms
+        self._gram = None  # (A^T A, column sums of A), shared by with_rho
+        self._h = None
         self._cho = None
+
+    def with_rho(self, rho: float) -> "RegularizedNormalOperator":
+        """The same operator at another rho, sharing the forms and, once
+        built, the Gram matrix."""
+        op = RegularizedNormalOperator(self.dataset, rho, (self._a, self._at))
+        op._gram = self._gram
+        return op
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.dim,):
             raise ValueError(f"expected shape ({self.dim},), got {v.shape}")
+        if self._h is not None:
+            return self._h @ v
         m = self.dim - 1
         qv = self._a @ v[:m] + v[m]
         out = np.empty(self.dim)
@@ -82,17 +96,31 @@ class RegularizedNormalOperator:
         out[m] = self.rho * qv.sum()
         return out
 
-    def dense_matrix(self) -> np.ndarray:
-        """Materialize P^T P + rho Q^T Q; meant for narrow problems.
+    def _gram_parts(self):
+        """A^T A and the column sums of A, whatever form apply uses.
 
-        Built from the sparse forms whatever apply uses, so the factor, and
-        hence every dense solve, does not depend on that choice.
+        On the ndarray form the Gram is the CSC x ndarray product
+        matrix_t() @ A, which adds a_ki * a_kj over k in ascending order as
+        the sparse matrix_t() @ matrix() does; the terms it adds beyond those
+        are zeros, so the two give the same bits and the factor, and hence
+        every dense solve, does not depend on the form.
         """
+        if self._gram is None:
+            ds = self.dataset
+            a = ds.matrix()
+            if isinstance(self._a, np.ndarray):
+                gram = ds.matrix_t() @ self._a
+            else:
+                gram = (ds.matrix_t() @ a).toarray()
+            self._gram = (gram, np.asarray(a.sum(axis=0)).ravel())
+        return self._gram
+
+    def dense_matrix(self) -> np.ndarray:
+        """Materialize P^T P + rho Q^T Q; meant for narrow problems."""
         m = self.dim - 1
-        a = self.dataset.matrix()
+        gram, col = self._gram_parts()
         mat = np.zeros((self.dim, self.dim))
-        mat[:m, :m] = np.eye(m) + self.rho * (self.dataset.matrix_t() @ a).toarray()
-        col = np.asarray(a.sum(axis=0)).ravel()
+        mat[:m, :m] = np.eye(m) + self.rho * gram
         mat[:m, m] = self.rho * col
         mat[m, :m] = self.rho * col
         mat[m, m] = self.rho * self.dataset.n
@@ -100,7 +128,9 @@ class RegularizedNormalOperator:
 
     def _factorization(self):
         if self._cho is None:
-            self._cho = scipy.linalg.cho_factor(self.dense_matrix())
+            h = self.dense_matrix()
+            self._cho = scipy.linalg.cho_factor(h)
+            self._h = h
         return self._cho
 
 

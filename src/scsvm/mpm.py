@@ -35,6 +35,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .blas import one_thread
 from .data import SparseDataset, text_file
 from .linsys import CgConfig, RegularizedNormalOperator, cg_solve, dense_solve
 from .projection import g_value, project_omega_s
@@ -311,11 +312,14 @@ def matrix_forms(ds: SparseDataset, dense: bool):
     return ds.matrix(), ds.matrix_t()
 
 
+@one_thread()
 def mpm_train(ds: SparseDataset, cfg: MpmConfig) -> tuple[ModelTheta, TrainReport]:
     """Run the outer loop from theta = 0 until both progress measures pass.
 
     Returns the final model and the full per-iteration report. Hitting
-    max_outer reports termination="max_outer" instead of raising.
+    max_outer reports termination="max_outer" instead of raising. BLAS runs
+    on one thread meanwhile (see scsvm.blas), so the model does not depend on
+    the BLAS thread count.
     """
     if ds.n == 0:
         raise ValueError("cannot train on an empty dataset (n = 0)")
@@ -372,7 +376,7 @@ def mpm_train(ds: SparseDataset, cfg: MpmConfig) -> tuple[ModelTheta, TrainRepor
             break
         if cfg.rho_growth > 1.0 and pp > cfg.p_tol and rho < RHO_CAP:
             rho = min(rho * cfg.rho_growth, RHO_CAP)
-            op = RegularizedNormalOperator(ds, rho, forms)
+            op = op.with_rho(rho)
         state = (theta.tobytes(), rho)
         repeat_period = next(
             (p for p, (seen, _, _) in enumerate(reversed(recent), start=1) if seen == state),

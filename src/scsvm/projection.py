@@ -57,9 +57,8 @@ def project_omega_s(z, s) -> ProjectionResult:
     n = z.size
     s = _checked_budget(s, n)
     positive = z > 0
-    x = z.copy()
     if np.count_nonzero(positive) <= s:
-        return ProjectionResult(x, 0.0, 0)
+        return ProjectionResult(z.copy(), 0.0, 0)
     ties = 0
     if s == 0:
         drop = positive
@@ -77,9 +76,8 @@ def project_omega_s(z, s) -> ProjectionResult:
             tied = np.flatnonzero(z == pivot)
             drop[tied[-tied_dropped:]] = True
             ties = tied.size
-    x[drop] = 0.0
-    dist_sq = 0.5 * float(np.sum(z[drop] ** 2))
-    return ProjectionResult(x, dist_sq, ties)
+    dist_sq = 0.5 * float(np.sum(np.compress(drop, z) ** 2))
+    return ProjectionResult(np.where(drop, 0.0, z), dist_sq, ties)
 
 
 def g_value(z, s) -> float:

@@ -6,14 +6,20 @@ cross-checks below materialize the (m+1)x(m+1) matrix independently.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from scsvm.data import SparseDataset
+from scsvm.data import SparseDataset, parse_svmlight
 from scsvm.linsys import CgConfig, RegularizedNormalOperator, cg_solve, dense_solve
+from scsvm.mpm import RHO_CAP, MpmConfig, matrix_forms, mpm_train
 
-from _util import dense_dataset, narrow_cases, random_dataset
+from _util import dense_dataset, narrow_cases, random_dataset, sparse_from_dense
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+BUNDLED = ("separable_toy", "noisy_blobs", "dense_mid", "sparse_imbalanced", "tiny")
 
 
 def one_sample_two():
@@ -29,6 +35,85 @@ def materialized(op):
     m = np.zeros((ds.m + 1, ds.m + 1))
     m[: ds.m, : ds.m] = np.eye(ds.m)
     return m + op.rho * (q.T @ q)
+
+
+def sparse_product_matrix(ds, rho):
+    """P^T P + rho Q^T Q with A^T A as the sparse product of the CSC and CSR
+    forms, element for element as the operator builds it."""
+    m = ds.m
+    a = ds.matrix()
+    mat = np.zeros((m + 1, m + 1))
+    mat[:m, :m] = np.eye(m) + rho * (ds.matrix_t() @ a).toarray()
+    col = np.asarray(a.sum(axis=0)).ravel()
+    mat[:m, m] = rho * col
+    mat[m, :m] = rho * col
+    mat[m, m] = rho * ds.n
+    return mat
+
+
+def matrix_free(op, v):
+    """[omega; 0] + rho * Q^T (Q v) from the operator's CSR and CSC forms."""
+    ds, m = op.dataset, op.dim - 1
+    qv = ds.matrix() @ v[:m] + v[m]
+    return np.concatenate([v[:m] + op.rho * (ds.matrix_t() @ qv), [op.rho * qv.sum()]])
+
+
+def gram_cases(rng):
+    """Narrow sets with all-zero rows, all-zero columns, or neither, and the
+    bundled sets."""
+    feats = rng.normal(size=(40, 9)) * (rng.random((40, 9)) < 0.5)
+    feats[[3, 4, 39]] = 0.0
+    feats[:, [0, 6]] = 0.0
+    labels = rng.choice([-1.0, 1.0], size=40)
+    return [
+        *narrow_cases(rng),
+        sparse_from_dense(feats, labels),
+        dense_dataset(feats, labels),
+        *(parse_svmlight(DATA / name) for name in BUNDLED),
+    ]
+
+
+@pytest.mark.parametrize("rho", [0.4, 10.0])
+def test_ndarray_form_dense_matrix_is_the_sparse_product_to_the_bit(rho):
+    rng = np.random.default_rng(53)
+    for ds in gram_cases(rng):
+        a = ds.matrix().toarray()
+        want = sparse_product_matrix(ds, rho).tobytes()
+        assert RegularizedNormalOperator(ds, rho, (a, a.T)).dense_matrix().tobytes() == want
+        assert RegularizedNormalOperator(ds, rho).dense_matrix().tobytes() == want
+
+
+def test_with_rho_matrix_is_a_fresh_operators_to_the_bit():
+    rng = np.random.default_rng(59)
+    for ds in gram_cases(rng):
+        forms = matrix_forms(ds, dense=True)
+        base = RegularizedNormalOperator(ds, 0.4, forms)
+        # before and after base has built the Gram that with_rho shares
+        for _ in range(2):
+            for rho in (1e-8, 0.4, 0.6, 1e3, 1e100, RHO_CAP):
+                fresh = RegularizedNormalOperator(ds, rho, forms).dense_matrix()
+                assert base.with_rho(rho).dense_matrix().tobytes() == fresh.tobytes()
+            base.dense_matrix()
+
+
+def test_rho_growth_builds_the_gram_once(monkeypatch):
+    rng = np.random.default_rng(61)
+    ds = dense_dataset(rng.normal(size=(80, 6)), rng.choice([-1.0, 1.0], size=80))
+    assert isinstance(matrix_forms(ds, dense=True)[0], np.ndarray)
+    calls = []
+    matrix_t = SparseDataset.matrix_t
+
+    def counted(self):
+        calls.append(None)
+        return matrix_t(self)
+
+    monkeypatch.setattr(SparseDataset, "matrix_t", counted)
+    cfg = MpmConfig(sr=0.1, rho_growth=1.5, max_outer=30)
+    _, report = mpm_train(ds, cfg)
+    assert report.solve_path == "dense"
+    # rho grew at least 20 times, and only the first operator built A^T A
+    assert report.rho_final >= cfg.rho * 1.5**20
+    assert len(calls) == 1
 
 
 def test_apply_hand_example():
@@ -74,6 +159,32 @@ def test_ndarray_form_apply_matches_csr_form(rho):
             v = rng.normal(size=ds.m + 1)
             want = csr.apply(v)
             assert np.linalg.norm(gemv.apply(v) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("rho", [0.4, 10.0])
+def test_apply_after_factoring_is_the_product_with_the_matrix(rho):
+    rng = np.random.default_rng(67)
+    for ds in gram_cases(rng):
+        for forms in (None, matrix_forms(ds, dense=True)):
+            op = RegularizedNormalOperator(ds, rho, forms)
+            dense_solve(op, rng.normal(size=op.dim))
+            mat = op.dense_matrix()
+            for _ in range(3):
+                v = rng.normal(size=op.dim)
+                got = op.apply(v)
+                assert got.tobytes() == (mat @ v).tobytes()
+                want = materialized(op) @ v
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_cg_path_apply_stays_matrix_free():
+    rng = np.random.default_rng(71)
+    ds = random_dataset(rng, n=50, m=20)
+    op = RegularizedNormalOperator(ds, rho=0.4)
+    cg_solve(op, rng.normal(size=op.dim))
+    for _ in range(4):
+        v = rng.normal(size=op.dim)
+        assert op.apply(v).tobytes() == matrix_free(op, v).tobytes()
 
 
 def test_operator_is_symmetric_and_positive_definite():

@@ -277,3 +277,45 @@ def test_projection_zeroes_exactly_the_partition_zeroed_set(z, data):
     np.testing.assert_array_equal(res.projected, expected)
     assert res.dist_sq == 0.5 * float(np.sum((z - expected) ** 2))
     assert res.ties == ties
+
+
+def mask_indexing_reference(z, s):
+    """(projected, dist_sq, ties) with the dropped entries chosen by
+    sort_oracle's ranking and read and zeroed by boolean-mask indexing."""
+    z = np.asarray(z, dtype=float)
+    order = np.argsort(-z, kind="stable")
+    drop = np.zeros(z.size, dtype=bool)
+    drop[order[s:]] = True
+    drop &= z > 0
+    x = z.copy()
+    x[drop] = 0.0
+    return x, 0.5 * float(np.sum(z[drop] ** 2)), sort_oracle(z, s)[1]
+
+
+@st.composite
+def tied_margins_and_budgets(draw):
+    # few distinct values, so ties at the cut are common, and both zeros
+    values = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 2.0])
+    n = draw(st.integers(1, 40))
+    z = draw(
+        hnp.arrays(
+            np.float64,
+            n,
+            elements=st.one_of(values, st.floats(-1e3, 1e3, allow_nan=False)),
+        )
+    )
+    s = draw(st.one_of(st.just(0), st.just(n), st.integers(0, n)))
+    return z, s
+
+
+@settings(max_examples=300)
+@given(tied_margins_and_budgets())
+def test_matches_mask_indexing_to_the_bit(zs):
+    z, s = zs
+    res = project_omega_s(z, s)
+    x, dist_sq, ties = mask_indexing_reference(z, s)
+    assert res.projected.tobytes() == x.tobytes()
+    assert res.dist_sq == dist_sq
+    assert res.ties == ties
+    # the result never aliases the input
+    assert not np.shares_memory(res.projected, z)
