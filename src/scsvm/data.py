@@ -4,14 +4,33 @@ Files use the usual "label index:value ..." lines with 1-based, strictly
 increasing feature indices; in memory everything is 0-based CSR. Labels are
 kept exactly as written until an explicit remap produces the {-1, +1} form
 that training requires.
+
+The parser reads about 1 MB of whole lines at a time. Labels are read by
+Python's float. The feature tokens are joined into one byte string whose
+":", " ", "." and "-" positions check the token layout, and one C-level
+integer scan (np.fromstring) reads every index and every value's digits M;
+the value is M / 10**f for its f digits after the dot. The quotient is the
+correctly rounded one (Clinger's fast path): M and 10**f are exact in the
+working type and its division rounds correctly. The working type is
+np.longdouble where a probe at import confirms an x87 (64-bit) or quad
+(113-bit) significand; its quotient is rounded once more, to float64, which
+can only err from a midpoint between two doubles, and those are detected.
+Elsewhere it is float64, with Clinger's bounds M <= 2**53 and f <= 22.
+Tokens outside all that keep Python's int and float: bytes other than
+[0-9.:-] (exponents, "+", "_", "nan", non-ASCII), misplaced signs or dots,
+indices past 18 digits, digits the scan would saturate, and midpoints. The
+arrays are therefore bit for bit what int and float give; _parse_lines is the
+reference, and it names the line of any error.
 """
 
 from __future__ import annotations
 
+import re
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,7 +53,48 @@ _FORMS_LOCK = threading.Lock()
 # the parser reads whole lines in batches of about this many characters
 _BATCH_CHARS = 1 << 20
 _MAX_INDEX = int(np.iinfo(np.int64).max)
-_COLON, _SPACE = ord(":"), ord(" ")
+# np.fromstring reads integers of up to this many digits exactly (10**18 < 2**63);
+# longer ones can saturate at the int64 maximum
+_SCAN_DIGITS = 18
+# a byte outside ASCII in a file, as text_file decodes it
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+# with "." deleted, turns the joined feature tokens into the scan text
+# "index digits index digits ..."
+_SCAN_TABLE = bytes.maketrans(b":", b" ")
+
+
+class _Exact(NamedTuple):
+    """A working type for M / 10**f: both operands are exact in it for every
+    M <= mant_max and every f < pow10.size, and its division rounds correctly."""
+
+    dtype: type
+    mant_max: int
+    pow10: np.ndarray
+
+
+def _exact_in(dtype) -> _Exact:
+    bits = np.finfo(dtype).nmant + 1
+    # 10**f = 2**f * 5**f is exact while 5**f fits the significand
+    f_max = 0
+    while 5 ** (f_max + 1) <= 2**bits:
+        f_max += 1
+    pow10 = np.cumprod(np.array([1] + [10] * f_max, dtype=dtype))
+    return _Exact(dtype, min(10**_SCAN_DIGITS - 1, 2**bits), pow10)
+
+
+def _working_type() -> type:
+    """np.longdouble where it is x87 extended (64-bit significand) or IEEE quad
+    (113-bit) and its arithmetic has that precision; float64 elsewhere."""
+    nmant = np.finfo(np.longdouble).nmant
+    if nmant in (63, 112):
+        one = np.longdouble(1)
+        eps = np.ldexp(one, -nmant)
+        if one + eps != one and one + eps / 2 == one:
+            return np.longdouble
+    return np.float64
+
+
+_EXACT = _exact_in(_working_type())
 
 
 @dataclass(frozen=True)
@@ -193,14 +253,17 @@ def text_file(target, mode: str = "r"):
     """Yield (file, name) for a path or an open text stream.
 
     A path is opened as ASCII text in mode ("r" or "w"), closed on exit and
-    named str(Path(target)). A stream is used as it is and named by its name
-    attribute, or "<stream>" without one.
+    named str(Path(target)). Read, a byte outside ASCII becomes the lone
+    surrogate U+DC80..U+DCFF ("surrogateescape"), so a reader can name its
+    line. A stream is used as it is and named by its name attribute, or
+    "<stream>" without one.
     """
     if hasattr(target, "read" if mode == "r" else "write"):
         yield target, getattr(target, "name", "<stream>")
         return
     path = Path(target)
-    with path.open(mode, encoding="ascii") as fh:
+    errors = "surrogateescape" if mode == "r" else "strict"
+    with path.open(mode, encoding="ascii", errors=errors) as fh:
         yield fh, str(path)
 
 
@@ -215,6 +278,10 @@ def _parse_lines(lines, name: str, n_features, first_lineno: int) -> SparseDatas
     row_ptr = [0]
     max_col = 0
     for lineno, line in enumerate(lines, start=first_lineno):
+        if not line.isascii() and (byte := _ESCAPED_BYTE.search(line)):
+            raise ValueError(
+                f"{name}, line {lineno}: non-ASCII byte 0x{ord(byte.group()) - 0xDC00:02x}"
+            )
         tokens = line.split()
         if not tokens:
             continue
@@ -265,8 +332,84 @@ def _parse_lines(lines, name: str, n_features, first_lineno: int) -> SparseDatas
     )
 
 
+def _scan_features(feats: list[str]):
+    """(index, value) arrays of the "index:value" tokens feats, or None when a
+    token does not parse.
+
+    All numbers are read by one C-level integer scan: a value is its digits M
+    with the dot dropped, over 10**f for its f fraction digits. Tokens the scan
+    cannot read exactly take Python's int and float (see _EXACT).
+    """
+    t = len(feats)
+    if not t:
+        return np.zeros(0, np.int64), np.zeros(0, np.float64)
+    text = " ".join(feats).encode("utf-8", "surrogatepass")
+    raw = np.frombuffer(text, dtype=np.uint8)
+    # the positions of every byte that is not a digit, by kind
+    pos = np.flatnonzero(raw - np.uint8(ord("0")) > 9)
+    byte = raw[pos]
+    kinds = [byte == b for b in b" :.-"]
+    space, colon, dot, minus = (pos[np.flatnonzero(k)] for k in kinds)
+    other = pos[np.flatnonzero(~np.logical_or.reduce(kinds))]
+    start = np.concatenate(([0], space + 1))
+    end = np.concatenate((space, [raw.size]))
+    # t colons, colon i inside token i with a non-empty index before it and a
+    # non-empty value after it: exactly one colon per token
+    if colon.size != t or np.any(colon <= start) or np.any(colon + 1 >= end):
+        return None
+    # the Python path: indices the scan would saturate, bytes it does not read
+    # (exponents, "+", "_", "nan", non-ASCII), misplaced signs and dots, and
+    # values without a digit
+    slow = colon - start > _SCAN_DIGITS
+    slow[np.searchsorted(space, other)] = True
+    dot_tok = np.searchsorted(space, dot)
+    slow[dot_tok[dot < colon[dot_tok]]] = True
+    slow[dot_tok[1:][dot_tok[1:] == dot_tok[:-1]]] = True
+    minus_tok = np.searchsorted(space, minus)
+    slow[minus_tok[minus != colon[minus_tok] + 1]] = True
+    slow |= end - colon - 1 == np.bincount(np.concatenate((dot_tok, minus_tok)), minlength=t)
+    frac = np.zeros(t, dtype=np.int64)
+    frac[dot_tok] = end[dot_tok] - dot - 1
+
+    # a Python-path token is scanned as zeros of the same length
+    slow_tokens = np.flatnonzero(slow).tolist()
+    if slow_tokens:
+        buf = bytearray(text)
+        for i in slow_tokens:
+            buf[start[i] : end[i]] = b"0:" + b"0" * (end[i] - start[i] - 2)
+        text = bytes(buf)
+    nums = np.fromstring(text.translate(_SCAN_TABLE, b"."), dtype=np.int64, sep=" ")
+    if nums.size != 2 * t:
+        return None
+    idx, mant = nums[0::2].copy(), nums[1::2]
+
+    exact = _EXACT
+    f = np.minimum(frac, exact.pow10.size - 1)
+    slow |= (mant > exact.mant_max) | (mant < -exact.mant_max) | (f != frac)
+    quot = np.abs(mant).astype(exact.dtype) / exact.pow10[f]
+    vals = quot.astype(np.float64)
+    # the cast to float64 rounds once more, which can only err when the
+    # quotient sits on a midpoint between two doubles: half a step from vals.
+    # That miss is a power of two, exact in float64 (in quad precision the cast
+    # may round another miss onto it, sending one more token to Python).
+    miss = (quot - vals.astype(exact.dtype)).astype(np.float64)
+    step = np.nextafter(vals, np.copysign(np.inf, miss)) - vals
+    slow |= (miss != 0) & (miss + miss == step)
+    # applied last, so that "-0" and "-0.0" read -0.0
+    vals[minus_tok] = -vals[minus_tok]
+
+    for i in np.flatnonzero(slow).tolist():
+        head, _, tail = feats[i].partition(":")
+        try:
+            idx[i] = int(head)
+            vals[i] = float(tail)
+        except (ValueError, OverflowError):
+            return None
+    return idx, vals
+
+
 def _parse_batch(lines, n_features) -> SparseDataset | None:
-    """Parse whole lines with a few C-level string passes and Python's int/float.
+    """Parse whole lines: labels with Python's float, features by _scan_features.
 
     Returns None where _parse_lines would raise, so that it can name the line.
     """
@@ -278,21 +421,14 @@ def _parse_batch(lines, n_features) -> SparseDataset | None:
             lengths.append(len(tokens) - 1)
             feats += tokens[1:]
     t = len(feats)
-    joined = " ".join(feats)
-    fields = joined.replace(":", " ").split()
-    raw = np.frombuffer(joined.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    seps = raw[(raw == _COLON) | (raw == _SPACE)]
-    # every feature token holds exactly one colon when the separators read
-    # ": : ... :" (counts alone would pass "1:2:3 5"), and two non-empty sides
-    # when the split gives two fields per token
-    if seps.size != max(2 * t - 1, 0) or np.any(seps[0::2] != _COLON) or len(fields) != 2 * t:
-        return None
     try:
-        idx = np.fromiter(map(int, fields[0::2]), dtype=np.int64, count=t)
-        vals = np.fromiter(map(float, fields[1::2]), dtype=np.float64, count=t)
         labs = np.fromiter(map(float, labels), dtype=np.float64, count=len(labels))
-    except (ValueError, OverflowError):
+    except ValueError:
         return None
+    scanned = _scan_features(feats)
+    if scanned is None:
+        return None
+    idx, vals = scanned
     # checked before idx - 1, which would wrap around at the int64 minimum
     if t and idx.min() < 1:
         return None

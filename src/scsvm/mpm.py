@@ -108,6 +108,8 @@ class ModelTheta:
                 b = float(header[1])
             except ValueError:
                 raise ValueError(f"{name}: malformed model header") from None
+            if m < 0:
+                raise ValueError(f"{name}: malformed model header")
             omega = np.zeros(m)
             for lineno, line in enumerate(fh, start=2):
                 tokens = line.split()

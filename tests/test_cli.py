@@ -341,6 +341,13 @@ def test_stats_json(workdir, capsys):
     assert list(doc["tiny"]) == [f.name for f in fields(DatasetStats)]
 
 
+def test_stats_names_the_line_of_a_non_ascii_byte(workdir, capsys):
+    path = workdir / "accent.svm"
+    path.write_bytes("+1 1:0.5\n-1 1:caf\u00e9\n".encode("utf-8"))
+    assert run_cli(["stats", str(path)]) == 1
+    assert f"{path}, line 2: non-ASCII byte 0xc3" in capsys.readouterr().err
+
+
 def test_env_var_resolves_names(workdir, monkeypatch, capsys):
     monkeypatch.setenv("SCSVM_DATA_DIR", str(DATA))
     assert run_cli(["stats", "tiny"]) == 0

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import io
+import math
 import threading
+from decimal import Context, Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from scsvm.data import (
 )
 
 SIMPLE = "+1 1:0.5 3:1.25\n-1 2:2\n"
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def parse_text(text, **kw):
@@ -90,6 +94,7 @@ def test_parse_skips_blank_lines():
         # two colons and four fields in all, exactly like "1:2 3:5"
         ("+1 1:1\n-1 1:2:3 5\n", 2),
         ("+1 1:1\n-1 9223372036854775808:1\n", 2),  # index past int64
+        ("+1 1:1\n-1 99999999999999999999:1\n", 2),  # an integer scan saturates here
         # past the first batch of about 1 MB
         pytest.param("+1 1:1\n" * 200_000 + "-1 1:x\n", 200_001, id="multi-batch"),
     ],
@@ -422,3 +427,110 @@ def test_batched_parse_matches_line_by_line(monkeypatch, text, n_features, batch
         for field in ("row_ptr", "col_idx", "values", "labels"):
             g, w = getattr(got, field), getattr(want, field)
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), field
+
+
+# The feature scan reads plain decimals with C-level passes and leaves the rest
+# to Python's int and float. These tests pin it to them bit for bit.
+
+# decimals whose quotient M / 10**f, rounded to a 64-bit significand, lands on
+# a midpoint between two doubles, so that the cast to float64 would round the
+# wrong way (the first is a value of data/dense_mid)
+MIDPOINT_HAZARDS = ["0.2466212757247324", "-3.52132212", "-.390736", ".9479899267179"]
+# mantissas past 18 digits, which an int64 scan reads saturated or not at all
+SATURATING = ["99999999999999999999", "-99999999999999999999", "-9223372036854775808",
+              "9223372036854775807", "1000000000000000000", "92233720368547758.08"]
+
+
+@st.composite
+def decimals(draw, min_digits=1, max_digits=18):
+    """Digits with an optional dot anywhere (".5", "5.", "-0.0") and sign."""
+    digits = draw(st.text("0123456789", min_size=min_digits, max_size=max_digits))
+    dot = draw(st.none() | st.integers(0, len(digits)))
+    body = digits if dot is None else f"{digits[:dot]}.{digits[dot:]}"
+    return draw(st.sampled_from(["", "-"])) + body
+
+
+@st.composite
+def near_midpoints(draw):
+    """15 to 18 significant digits at or next to a midpoint between two doubles."""
+    d = draw(st.floats(1e-9, 1e17))
+    digits = draw(st.integers(15, 18))
+    exact = Context(prec=80)
+    mid = exact.divide(exact.add(Decimal(d), Decimal(math.nextafter(d, math.inf))), 2)
+    unit = Decimal(1).scaleb(mid.adjusted() - digits + 1)
+    near = mid.quantize(unit) + draw(st.integers(-1, 1)) * unit
+    return draw(st.sampled_from(["", "-"])) + format(near, "f")
+
+
+@st.composite
+def integer_midpoints(draw):
+    """Odd multiples of 2**s in [2**(53+s), 2**(54+s)): halfway between doubles."""
+    s = draw(st.integers(0, 5))
+    m = (2 * draw(st.integers(2**52, 2**53 - 1)) + 1) << s
+    return draw(st.sampled_from(["{}", "{}.", "{}.0", "-{}"])).format(m)
+
+
+NUMERALS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    decimals(),
+    near_midpoints(),
+    integer_midpoints(),
+    decimals(min_digits=19, max_digits=25),
+    st.sampled_from(["1e-5", "-2.5E+3", "+1", "+.5", "1_0", "-0", "-0.0", ".5", "5."]),
+)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(NUMERALS, min_size=1, max_size=30))
+@example(MIDPOINT_HAZARDS)
+@example(SATURATING)
+@pytest.mark.parametrize("working", ["native", "float64"])
+def test_feature_values_read_as_python_float(monkeypatch, working, values):
+    if working == "float64":
+        monkeypatch.setattr(scsvm_data, "_EXACT", scsvm_data._exact_in(np.float64))
+    text = "1 " + " ".join(f"{i}:{v}" for i, v in enumerate(values, start=1)) + "\n"
+    ds = parse_text(text)
+    want = np.array([float(v) for v in values])
+    assert ds.values.tobytes() == want.tobytes()
+    assert ds.col_idx.tolist() == list(range(len(values)))
+
+
+@pytest.mark.parametrize(
+    "index",
+    ["1", "007", "999999999999999999", "1000000000000000000", "9223372036854775807", "+5", "1_0"],
+)
+def test_feature_index_reads_as_python_int(index):
+    ds = parse_text(f"1 {index}:1\n")
+    assert ds.col_idx.tolist() == [int(index) - 1]
+
+
+def test_plain_decimals_are_not_read_by_python_float(monkeypatch):
+    calls = []
+
+    def counting_float(text):
+        calls.append(text)
+        return float(text)
+
+    monkeypatch.setattr(scsvm_data, "float", counting_float, raising=False)
+    ds = parse_text("+1 1:0.5 2:-1.25 3:7\n-1 1:3. 2:-.5 3:1e-5\n")
+    np.testing.assert_array_equal(ds.values, [0.5, -1.25, 7.0, 3.0, -0.5, 1e-5])
+    # the labels, and the one token in e-notation
+    assert calls == ["+1", "-1", "1e-5"]
+
+
+def test_float64_working_type_has_clingers_bounds():
+    exact = scsvm_data._exact_in(np.float64)
+    assert exact.mant_max == 2**53
+    assert exact.pow10.size - 1 == 22
+    assert exact.pow10.tolist() == [10.0**f for f in range(23)]
+
+
+@pytest.mark.parametrize(
+    "name", ["dense_mid", "noisy_blobs", "separable_toy", "sparse_imbalanced", "tiny"]
+)
+def test_float64_working_type_reads_the_bundled_files_alike(monkeypatch, name):
+    native = parse_svmlight(DATA / name)
+    monkeypatch.setattr(scsvm_data, "_EXACT", scsvm_data._exact_in(np.float64))
+    forced = parse_svmlight(DATA / name)
+    for field in ("row_ptr", "col_idx", "values", "labels"):
+        assert getattr(forced, field).tobytes() == getattr(native, field).tobytes(), field

@@ -624,6 +624,7 @@ def test_model_file_round_trip(tmp_path):
         ("", "header"),
         ("3\n", "header"),
         ("x 1.0\n", "header"),
+        ("-1 0\n", "header"),
         ("2 0.5\n0 1.0 9\n", "index value"),
         ("2 0.5\nfoo 1.0\n", "index value"),
         ("2 0.5\n5 1.0\n", "outside"),
