@@ -27,7 +27,7 @@ from .benchmark import (
     render_json,
     run_benchmark,
 )
-from .data import DatasetStats, parse_svmlight, split
+from .data import DatasetStats, parse_svmlight, reject_non_ascii, split, text_file
 from .dcd import DcdConfig
 from .evaluate import (
     accuracy,
@@ -84,16 +84,31 @@ def load_dataset(name: str, n_features: int | None = None):
         raise CliError(str(exc)) from exc
 
 
+def _read_lines(path: str, what: str) -> list[tuple[int, str, str]]:
+    """(number, raw line, its stripped text before any '#') for each line of
+    a config file or manifest that holds more than a comment. A byte outside
+    ASCII, even in a comment, is named by file and line as parse_svmlight
+    names it."""
+    try:
+        with text_file(path) as (fh, name):
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise CliError(f"cannot read {what}: {exc}") from exc
+    kept = []
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            reject_non_ascii(raw, name, lineno)
+        except ValueError as exc:
+            raise CliError(str(exc)) from None
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            kept.append((lineno, raw, line))
+    return kept
+
+
 def parse_config_file(path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
-    try:
-        lines = Path(path).read_text(encoding="ascii").splitlines()
-    except OSError as exc:
-        raise CliError(f"cannot read config file: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, raw, line in _read_lines(path, "config file"):
         if "=" not in line:
             raise CliError(f"{path}, line {lineno}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
@@ -285,16 +300,7 @@ def cmd_eval(args) -> int:
 
 
 def _read_manifest(path: str) -> list[str]:
-    try:
-        lines = Path(path).read_text(encoding="ascii").splitlines()
-    except OSError as exc:
-        raise CliError(f"cannot read manifest: {exc}") from exc
-    names = []
-    for raw in lines:
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            names.append(line)
-    return names
+    return [line for _, _, line in _read_lines(path, "manifest")]
 
 
 def _sr_grid(raw: str | None) -> tuple[float, ...]:

@@ -40,6 +40,7 @@ __all__ = [
     "LabelMap",
     "SparseDataset",
     "parse_svmlight",
+    "reject_non_ascii",
     "remap_labels",
     "serialize_svmlight",
     "split",
@@ -267,6 +268,15 @@ def text_file(target, mode: str = "r"):
         yield fh, str(path)
 
 
+def reject_non_ascii(line: str, name: str, lineno: int) -> None:
+    """Raise ValueError naming the file, the line and the first byte outside
+    ASCII in a line text_file read, if it holds one."""
+    if not line.isascii() and (byte := _ESCAPED_BYTE.search(line)):
+        raise ValueError(
+            f"{name}, line {lineno}: non-ASCII byte 0x{ord(byte.group()) - 0xDC00:02x}"
+        )
+
+
 def _parse_lines(lines, name: str, n_features, first_lineno: int) -> SparseDataset:
     """Parse lines one token at a time; the first bad line raises, named by number.
 
@@ -278,10 +288,7 @@ def _parse_lines(lines, name: str, n_features, first_lineno: int) -> SparseDatas
     row_ptr = [0]
     max_col = 0
     for lineno, line in enumerate(lines, start=first_lineno):
-        if not line.isascii() and (byte := _ESCAPED_BYTE.search(line)):
-            raise ValueError(
-                f"{name}, line {lineno}: non-ASCII byte 0x{ord(byte.group()) - 0xDC00:02x}"
-            )
+        reject_non_ascii(line, name, lineno)
         tokens = line.split()
         if not tokens:
             continue

@@ -90,10 +90,13 @@ class RegularizedNormalOperator:
         if self._h is not None:
             return self._h @ v
         m = self.dim - 1
-        qv = self._a @ v[:m] + v[m]
+        qv = self._a @ v[:m]
+        qv += v[m]
+        aq = self._at @ qv
+        aq *= self.rho
         out = np.empty(self.dim)
-        out[:m] = v[:m] + self.rho * (self._at @ qv)
-        out[m] = self.rho * qv.sum()
+        np.add(v[:m], aq, out=out[:m])
+        out[m] = self.rho * np.add.reduce(qv)
         return out
 
     def _gram_parts(self):
@@ -142,15 +145,17 @@ def dense_solve(op: RegularizedNormalOperator, rhs: np.ndarray) -> SolveOutcome:
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     # cho_factor checked the cached factor once; only the rhs is new
-    if not np.isfinite(rhs).all():
+    if np.count_nonzero(np.isfinite(rhs)) < rhs.size:
         raise ValueError("array must not contain infs or NaNs")
     c, lower = op._factorization()
     theta, info = _POTRS(c, rhs, lower=lower)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of potrs")
-    # nrm2 scales as it sums, so a residual near the rho cap stays finite
-    residual = float(dnrm2(rhs - op.apply(theta)))
-    return SolveOutcome(theta=theta, iterations=0, final_residual=residual, converged=True)
+    # rhs - H theta, in the array apply returns; nrm2 scales as it sums, so
+    # a residual near the rho cap stays finite
+    residual = op.apply(theta)
+    np.subtract(rhs, residual, out=residual)
+    return SolveOutcome(theta, 0, float(dnrm2(residual)), True)
 
 
 def cg_solve(op, rhs: np.ndarray, cfg: CgConfig = CgConfig(), x0=None) -> SolveOutcome:

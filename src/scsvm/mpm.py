@@ -31,7 +31,7 @@ import logging
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -199,6 +199,14 @@ class IterationRecord:
     cg_iterations: int
     solver_residual: float | None
 
+    def at_k(self, k: int) -> "IterationRecord":
+        """This record with k changed, as a replayed iteration records it:
+        dataclasses.replace without its per-call walk over the fields."""
+        return IterationRecord(
+            k, self.objective, self.f_value, self.penalty, self.f_progress,
+            self.p_progress, self.cg_iterations, self.solver_residual,
+        )
+
 
 @dataclass(frozen=True)
 class TrainReport:
@@ -236,7 +244,11 @@ def margin(theta: ModelTheta, ds: SparseDataset) -> np.ndarray:
 
 
 def _margin(omega: np.ndarray, b: float, labels: np.ndarray, a) -> np.ndarray:
-    return 1.0 - labels * (a @ omega + b)
+    # 1 - y * (A omega + b), in place in the product's fresh array
+    z = a @ omega
+    z += b
+    z *= labels
+    return np.subtract(1.0, z, out=z)
 
 
 def objective_components(theta: ModelTheta, ds: SparseDataset, cfg: MpmConfig):
@@ -255,11 +267,12 @@ def majorization_rhs(theta_k: ModelTheta, ds: SparseDataset, cfg: MpmConfig) -> 
 
 
 def _rhs(projected: np.ndarray, labels: np.ndarray, at, rho: float) -> np.ndarray:
-    m = at.shape[0]
-    yu = labels * (1.0 - projected)
-    rhs = np.empty(m + 1)
-    rhs[:m] = rho * (at @ yu)
-    rhs[m] = rho * yu.sum()
+    # rho * [A^T yu; sum(yu)] with yu = y * (1 - projected), built in place
+    yu = 1.0 - projected
+    yu *= labels
+    rhs = np.empty(at.shape[0] + 1)
+    np.multiply(at @ yu, rho, out=rhs[:-1])
+    rhs[-1] = rho * np.add.reduce(yu)
     return rhs
 
 
@@ -347,16 +360,18 @@ def mpm_train(ds: SparseDataset, cfg: MpmConfig) -> tuple[ModelTheta, TrainRepor
     recent = deque(maxlen=2)
     repeat_k = repeat_period = None
     start = time.perf_counter()
+    labels = ds.labels
     for k in range(1, cfg.max_outer + 1):
-        rhs = _rhs(proj.projected, ds.labels, at, rho)
+        rhs = _rhs(proj.projected, labels, at, rho)
         if use_dense:
             outcome = dense_solve(op, rhs)
         else:
             guess = theta if (cfg.cg_warm_start and k > 1) else None
             outcome = cg_solve(op, rhs, cfg.cg, x0=guess)
         theta = outcome.theta
-        proj = project_omega_s(_margin(theta[:m], theta[m], ds.labels, a), s)
-        f_curr = 0.5 * float(theta[:m] @ theta[:m])
+        omega = theta[:m]
+        proj = project_omega_s(_margin(omega, theta[m], labels, a), s)
+        f_curr = 0.5 * float(omega @ omega)
         p_curr = proj.dist_sq
         objective = f_curr + rho * p_curr
         if not math.isfinite(objective):
@@ -380,15 +395,16 @@ def mpm_train(ds: SparseDataset, cfg: MpmConfig) -> tuple[ModelTheta, TrainRepor
             rho = min(rho * cfg.rho_growth, RHO_CAP)
             op = op.with_rho(rho)
         state = (theta.tobytes(), rho)
-        repeat_period = next(
-            (p for p, (seen, _, _) in enumerate(reversed(recent), start=1) if seen == state),
-            None,
-        )
+        for repeat_period, (seen, _, _) in enumerate(reversed(recent), start=1):
+            if seen == state:
+                break
+        else:
+            repeat_period = None
         if repeat_period is not None:
             # iteration j > k repeats iteration j - period, up to max_outer
             repeat_k = k
             for j in range(k + 1, cfg.max_outer + 1):
-                record = replace(history[j - repeat_period], k=j)
+                record = history[j - repeat_period].at_k(j)
                 history.append(record)
                 total_cg += record.cg_iterations
             if (cfg.max_outer - k) % repeat_period:

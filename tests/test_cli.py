@@ -267,6 +267,24 @@ def test_bench_manifest_file(workdir, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, entry",
+    [
+        (["train", "--data", TOY, "--config"], "sr = 0.5"),
+        (["bench", "--sr-grid", "0.1", "--manifest"], TOY),
+    ],
+    ids=["config", "manifest"],
+)
+def test_config_and_manifest_name_the_line_of_a_non_ascii_byte(workdir, capsys, command, entry):
+    # the byte sits in a comment, which the readers skip only after decoding
+    path = workdir / "listing.txt"
+    path.write_bytes(f"# plain\n{entry}  # caf\u00e9\n".encode("utf-8"))
+    assert run_cli([*command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}, line 2: non-ASCII byte 0xc3" in err
+    assert "codec" not in err
+
+
+@pytest.mark.parametrize(
     "flag, value",
     [("--jobs", "0"), ("--jobs", "-5"), ("--split", "0"), ("--split", "1"),
      ("--split", "1.5"), ("--split", "-0.2"), ("--split", "nan")],

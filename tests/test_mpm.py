@@ -4,7 +4,8 @@ import io
 import json
 import logging
 import math
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +41,8 @@ from _util import (
     noisy_linear_dataset,
     random_dataset,
 )
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def tight_pair_clusters(n: int, center: float = 10.0, seed: int = 0) -> SparseDataset:
@@ -456,6 +459,73 @@ def test_replay_waits_for_rho_to_saturate(monkeypatch):
     # record k weighs the penalty with the rho set after iteration k - 1
     np.testing.assert_allclose(objective[8:202] / objective[7:201], 10.0, rtol=1e-12)
     np.testing.assert_allclose(objective[202:], mpm_module.RHO_CAP * penalty, rtol=1e-15)
+
+
+def count_layer_calls(monkeypatch) -> dict:
+    """Wrap the entry points perfbench's tracer times, under the names the
+    trainer calls them by: mpm's project_omega_s, dense_solve and cg_solve,
+    and RegularizedNormalOperator.apply. The dict counts calls by name."""
+    calls = dict.fromkeys(("project_omega_s", "dense_solve", "cg_solve", "apply"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("project_omega_s", "dense_solve", "cg_solve"):
+        monkeypatch.setattr(mpm_module, name, counted(name, getattr(mpm_module, name)))
+    monkeypatch.setattr(
+        RegularizedNormalOperator, "apply", counted("apply", RegularizedNormalOperator.apply)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("case", ["dense", "cg", "replayed"])
+def test_loop_calls_each_traced_layer_through_its_name(monkeypatch, case):
+    """perfbench's per-layer metrics wrap exactly these names; a loop that
+    inlined one of them would leave its metric reading zero."""
+    if case == "replayed":
+        ds, cfg = parse_svmlight(DATA / "dense_mid"), MpmConfig(sr=0.01)
+    else:
+        ds = noisy_linear_dataset(np.random.default_rng(43), n=40, m=8, flip=0.1)
+        cfg = MpmConfig(sr=0.5, dense_threshold=1 if case == "cg" else 100)
+    calls = count_layer_calls(monkeypatch)
+    _, report = mpm_train(ds, cfg)
+    assert (report.repeat_k is not None) == (case == "replayed")
+    solves = report.repeat_k or report.outer_iters
+    assert solves > 1
+    if case == "cg":
+        assert (calls["cg_solve"], calls["dense_solve"]) == (solves, 0)
+        # one apply per CG step from a zero start
+        assert calls["apply"] == report.total_cg > 0
+    else:
+        assert (calls["dense_solve"], calls["cg_solve"]) == (solves, 0)
+        assert calls["apply"] >= solves
+    # one projection per solve, and one of the zero model's margins
+    assert calls["project_omega_s"] == solves + 1
+
+
+@pytest.mark.parametrize("name, period", [("dense_mid", 1), ("sparse_imbalanced", 2)])
+def test_replayed_records_are_real_records(name, period):
+    _, report = mpm_train(parse_svmlight(DATA / name), MpmConfig(sr=0.01))
+    assert report.repeat_period == period
+    replayed = report.history[report.repeat_k + 1:]
+    assert len(replayed) == report.outer_iters - report.repeat_k > period
+    as_json = report.as_dict()["history"]
+    for record in replayed:
+        source = report.history[record.k - period]
+        assert type(record) is IterationRecord
+        assert record == replace(source, k=record.k)
+        assert hash(record) == hash(replace(source, k=record.k))
+        with pytest.raises(FrozenInstanceError):
+            record.k = 0
+        # serialized as a computed record with its k
+        assert as_json[record.k] == {**as_json[source.k], "k": record.k}
+        assert list(as_json[record.k]) == [f.name for f in fields(IterationRecord)]
+    assert [rec.k for rec in report.history] == list(range(report.outer_iters + 1))
+    assert json.loads(report.to_json())["history"] == as_json
 
 
 def test_warm_start_run_still_converges_and_descends():

@@ -319,3 +319,31 @@ def test_matches_mask_indexing_to_the_bit(zs):
     assert res.ties == ties
     # the result never aliases the input
     assert not np.shares_memory(res.projected, z)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1_000, 12_000),
+    st.integers(1, 6),
+    st.sampled_from([0.0, 0.01, 0.3]),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_matches_mask_indexing_to_the_bit_at_loop_sizes(n, distinct, mixed, seed, data):
+    # training-loop sizes: few distinct values, so ties at the cut stay
+    # common, with a share of arbitrary entries so the dropped sum has terms
+    # of every magnitude
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([[-0.0, 0.0], rng.normal(scale=2.0, size=distinct)])
+    z = rng.choice(pool, size=n)
+    arbitrary = rng.random(n) < mixed
+    z[arbitrary] = rng.normal(scale=1e3, size=np.count_nonzero(arbitrary))
+    positive = int(np.count_nonzero(z > 0))
+    s = data.draw(
+        st.one_of(st.integers(0, n), st.integers(0, positive), st.just(max(positive - 1, 0)))
+    )
+    res = project_omega_s(z, s)
+    x, dist_sq, ties = mask_indexing_reference(z, s)
+    assert res.projected.tobytes() == x.tobytes()
+    assert res.dist_sq == dist_sq
+    assert res.ties == ties
