@@ -21,7 +21,7 @@ import csv
 import io
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from operator import attrgetter
 from time import perf_counter
 
@@ -237,7 +237,7 @@ def _row_as_dict(row: BenchmarkRow) -> dict:
         "train_misclassified": row.train_misclassified,
         "termination": row.termination,
         "error": row.error,
-        "reference": None if ref is None else dict(vars(ref)),
+        "reference": None if ref is None else asdict(ref),
         "training_report": None if row.report is None else row.report.as_dict(),
     }
     if row.dcd_accuracy_pct is not None or row.dcd_time_s is not None:

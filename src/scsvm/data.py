@@ -5,19 +5,24 @@ increasing feature indices; in memory everything is 0-based CSR. Labels are
 kept exactly as written until an explicit remap produces the {-1, +1} form
 that training requires.
 
-The parser reads about 1 MB of whole lines at a time. Labels are read by
-Python's float. The feature tokens are joined into one byte string whose
-":", " ", "." and "-" positions check the token layout, and one C-level
-integer scan (np.fromstring) reads every index and every value's digits M;
-the value is M / 10**f for its f digits after the dot. The quotient is the
-correctly rounded one (Clinger's fast path): M and 10**f are exact in the
-working type and its division rounds correctly. The working type is
-np.longdouble where a probe at import confirms an x87 (64-bit) or quad
-(113-bit) significand; its quotient is rounded once more, to float64, which
-can only err from a midpoint between two doubles, and those are detected.
-Elsewhere it is float64, with Clinger's bounds M <= 2**53 and f <= 22.
-Tokens outside all that keep Python's int and float: bytes other than
-[0-9.:-] (exponents, "+", "_", "nan", non-ASCII), misplaced signs or dots,
+The parser reads about 1 MB of whole lines at a time and scans them as one
+byte string: the lines are joined and encoded once, and their bounds come
+from their lengths, so a line ends where the stream's readlines ended it.
+Tokens are separated by the ASCII bytes str.split() splits on (space, tab,
+line feed, vertical tab, form feed, carriage return and 0x1c to 0x1f); a
+batch with a character outside ASCII is left to _parse_lines. One pass finds
+every byte that is not a digit; their kinds and a running count of the
+separators give the tokens, the first of a line its label and the others one
+colon each. One C-level integer scan (np.fromstring) then reads every label,
+index and value's digits M; a label or value is M / 10**f for its f digits
+after the dot. The quotient is the correctly rounded one (Clinger's fast
+path): M and 10**f are exact in the working type and its division rounds
+correctly. That type is float64 within Clinger's bounds M <= 2**53 and f <=
+22; beyond them it is np.longdouble where a probe at import confirms an x87
+(64-bit) or quad (113-bit) significand, whose quotient is rounded once more,
+to float64, which can only err from a midpoint between two doubles, and those
+are detected. Tokens outside all that keep Python's int and float: bytes
+other than [0-9.:-] (exponents, "+", "_", "nan"), misplaced signs or dots,
 indices past 18 digits, digits the scan would saturate, and midpoints. The
 arrays are therefore bit for bit what int and float give; _parse_lines is the
 reference, and it names the line of any error.
@@ -59,9 +64,21 @@ _MAX_INDEX = int(np.iinfo(np.int64).max)
 _SCAN_DIGITS = 18
 # a byte outside ASCII in a file, as text_file decodes it
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
-# with "." deleted, turns the joined feature tokens into the scan text
-# "index digits index digits ..."
-_SCAN_TABLE = bytes.maketrans(b":", b" ")
+# the bytes str.split() splits on that are ASCII
+_SEPARATORS = bytes(b for b in range(128) if chr(b).isspace())
+# the classes of the bytes other than digits that the batch scan tells apart
+_OTHER, _SEP, _COLON, _DOT, _MINUS = range(5)
+_ZERO = np.uint8(ord("0"))
+_KIND = np.full(256, _OTHER, dtype=np.uint8)
+_KIND[list(_SEPARATORS)] = _SEP
+_KIND[[ord(":"), ord("."), ord("-")]] = [_COLON, _DOT, _MINUS]
+# with "." deleted, turns a batch into the scan text: separators and ":"
+# become spaces, digits stay, and every other byte becomes "0". A "-" is read
+# from its position, and a token with any other byte is read by Python.
+_SCAN_TABLE = bytes(
+    b if 0 <= b - ord("0") <= 9 else ord(" ") if b in _SEPARATORS + b":" else ord("0")
+    for b in range(256)
+)
 
 
 class _Exact(NamedTuple):
@@ -95,6 +112,7 @@ def _working_type() -> type:
     return np.float64
 
 
+_FLOAT64 = _exact_in(np.float64)
 _EXACT = _exact_in(_working_type())
 
 
@@ -110,7 +128,7 @@ class DatasetStats:
     density_pct: float = field(metadata={"csv": ".2f"})
 
     def as_dict(self) -> dict:
-        return dict(vars(self))
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def csv_header(cls) -> str:
@@ -151,10 +169,11 @@ class SparseDataset:
             raise ValueError("column index out of range")
         if not np.all(np.isfinite(val)):
             raise ValueError("feature values must be finite")
-        # strictly increasing columns within each row; a non-positive step is
-        # only legal at a row boundary
-        steps = np.flatnonzero(np.diff(col) <= 0)
-        if steps.size and not np.all(np.isin(steps + 1, ptr)):
+        # strictly increasing columns within each row: a column may only
+        # repeat or drop where a row starts
+        row_start = np.zeros(col.size + 1, dtype=bool)
+        row_start[ptr] = True
+        if np.any((col[1:] <= col[:-1]) & ~row_start[1:-1]):
             raise ValueError("column indices must be strictly increasing per row")
 
     @property
@@ -339,114 +358,138 @@ def _parse_lines(lines, name: str, n_features, first_lineno: int) -> SparseDatas
     )
 
 
-def _scan_features(feats: list[str]):
-    """(index, value) arrays of the "index:value" tokens feats, or None when a
-    token does not parse.
+def _parse_batch(lines, n_features) -> SparseDataset | None:
+    """Parse whole lines as one byte string (see the module docstring).
 
-    All numbers are read by one C-level integer scan: a value is its digits M
-    with the dot dropped, over 10**f for its f fraction digits. Tokens the scan
-    cannot read exactly take Python's int and float (see _EXACT).
+    Returns None where _parse_lines would raise, so that it can name the line,
+    and for the batches it leaves to _parse_lines: one with a character outside
+    ASCII, one without a token, and one whose lines do not each end in a
+    separator.
     """
-    t = len(feats)
-    if not t:
-        return np.zeros(0, np.int64), np.zeros(0, np.float64)
-    text = " ".join(feats).encode("utf-8", "surrogatepass")
-    raw = np.frombuffer(text, dtype=np.uint8)
-    # the positions of every byte that is not a digit, by kind
-    pos = np.flatnonzero(raw - np.uint8(ord("0")) > 9)
-    byte = raw[pos]
-    kinds = [byte == b for b in b" :.-"]
-    space, colon, dot, minus = (pos[np.flatnonzero(k)] for k in kinds)
-    other = pos[np.flatnonzero(~np.logical_or.reduce(kinds))]
-    start = np.concatenate(([0], space + 1))
-    end = np.concatenate((space, [raw.size]))
-    # t colons, colon i inside token i with a non-empty index before it and a
-    # non-empty value after it: exactly one colon per token
-    if colon.size != t or np.any(colon <= start) or np.any(colon + 1 >= end):
+    text = "".join(lines)
+    if not text.isascii():
         return None
+    buf = text.encode("ascii")
+    raw = np.frombuffer(buf, dtype=np.uint8)
+    # line L is raw[bounds[L]:bounds[L + 1]]
+    bounds = np.zeros(len(lines) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, lines), np.int64, len(lines)), out=bounds[1:])
+
+    # every byte that is not a digit, by position and kind
+    pos = np.flatnonzero(raw - _ZERO > 9)
+    kind = _KIND.take(raw[pos])
+    sep = kind == _SEP
+    # a token is a run of bytes between two separators (or the ends of the
+    # batch): gap g lies between edges[g] and edges[g + 1], and token i is
+    # the i-th gap that is not empty
+    edges = np.concatenate(([-1], pos[np.flatnonzero(sep)], [raw.size]))
+    filled = np.diff(edges) > 1
+    start, end = edges[:-1][filled] + 1, edges[1:][filled]
+    t = start.size
+    # a line that ends in a separator keeps its tokens to itself; every line
+    # read from a stream does, but its last
+    if not t or np.any(_KIND[raw[bounds[1:-1] - 1]] != _SEP):
+        return None
+
+    # the running count of separators before a byte is its gap, counted in
+    # the narrowest type that holds the batch's size, which is cheaper than int64
+    gap = np.cumsum(sep, dtype=np.min_scalar_type(raw.size))
+    token_of_gap = np.cumsum(filled) - 1
+
+    def where(k):
+        """Positions and tokens of the bytes of kind k."""
+        j = np.flatnonzero(kind == k)
+        return pos[j], token_of_gap[gap[j]]
+
+    # the tokens of line L are first[L] .. first[L + 1] - 1; the first is its label
+    first = np.searchsorted(start, bounds)
+    labels = first[:-1][first[1:] > first[:-1]]
+    feature = np.ones(t, dtype=bool)
+    feature[labels] = False
+    feats = np.flatnonzero(feature)
+    # as many colons as feature tokens, the k-th inside the k-th with a
+    # non-empty index before it and a non-empty value after it: one colon in
+    # each feature token, and none in a label
+    colon = pos[np.flatnonzero(kind == _COLON)]
+    if (
+        colon.size != feats.size
+        or np.any(colon <= start[feats])
+        or np.any(colon + 1 >= end[feats])
+    ):
+        return None
+    # a label reads as a value after a colon just before it
+    colon_at = start - 1
+    colon_at[feats] = colon
+
     # the Python path: indices the scan would saturate, bytes it does not read
-    # (exponents, "+", "_", "nan", non-ASCII), misplaced signs and dots, and
-    # values without a digit
-    slow = colon - start > _SCAN_DIGITS
-    slow[np.searchsorted(space, other)] = True
-    dot_tok = np.searchsorted(space, dot)
-    slow[dot_tok[dot < colon[dot_tok]]] = True
+    # (exponents, "+", "_", "nan"), misplaced signs and dots, and values
+    # without a digit
+    slow = colon_at - start > _SCAN_DIGITS
+    slow[where(_OTHER)[1]] = True
+    dot, dot_tok = where(_DOT)
+    slow[dot_tok[dot < colon_at[dot_tok]]] = True
     slow[dot_tok[1:][dot_tok[1:] == dot_tok[:-1]]] = True
-    minus_tok = np.searchsorted(space, minus)
-    slow[minus_tok[minus != colon[minus_tok] + 1]] = True
-    slow |= end - colon - 1 == np.bincount(np.concatenate((dot_tok, minus_tok)), minlength=t)
+    minus, minus_tok = where(_MINUS)
+    slow[minus_tok[minus != colon_at[minus_tok] + 1]] = True
+    # a value without a digit holds only "-" and "."; with neither twice it
+    # is one or two bytes long
+    short = np.flatnonzero(end - colon_at <= 3)
+    slow[short[(raw[colon_at[short] + 1] - _ZERO > 9) & (raw[end[short] - 1] - _ZERO > 9)]] = True
     frac = np.zeros(t, dtype=np.int64)
     frac[dot_tok] = end[dot_tok] - dot - 1
 
-    # a Python-path token is scanned as zeros of the same length
-    slow_tokens = np.flatnonzero(slow).tolist()
-    if slow_tokens:
-        buf = bytearray(text)
-        for i in slow_tokens:
-            buf[start[i] : end[i]] = b"0:" + b"0" * (end[i] - start[i] - 2)
-        text = bytes(buf)
-    nums = np.fromstring(text.translate(_SCAN_TABLE, b"."), dtype=np.int64, sep=" ")
-    if nums.size != 2 * t:
+    # each index, value and label scans as one run of digits; one made only of
+    # dots scans as none, and its int or float would fail
+    nums = np.fromstring(buf.translate(_SCAN_TABLE, b"."), dtype=np.int64, sep=" ")
+    if nums.size != t + feats.size:
         return None
-    idx, mant = nums[0::2].copy(), nums[1::2]
+    # token i's value digits are number i + (feature tokens up to i), its index
+    # the number before
+    at = np.arange(t) + np.cumsum(feature)
+    idx, mant = nums[at - 1], nums[at]
 
-    exact = _EXACT
+    exact, fast = _EXACT, _FLOAT64
     f = np.minimum(frac, exact.pow10.size - 1)
-    slow |= (mant > exact.mant_max) | (mant < -exact.mant_max) | (f != frac)
-    quot = np.abs(mant).astype(exact.dtype) / exact.pow10[f]
-    vals = quot.astype(np.float64)
-    # the cast to float64 rounds once more, which can only err when the
-    # quotient sits on a midpoint between two doubles: half a step from vals.
-    # That miss is a power of two, exact in float64 (in quad precision the cast
-    # may round another miss onto it, sending one more token to Python).
-    miss = (quot - vals.astype(exact.dtype)).astype(np.float64)
-    step = np.nextafter(vals, np.copysign(np.inf, miss)) - vals
-    slow |= (miss != 0) & (miss + miss == step)
+    slow |= (mant > exact.mant_max) | (f != frac)
+    # first in float64, exact within Clinger's bounds; the rest again in the
+    # working type
+    vals = mant / fast.pow10[np.minimum(frac, fast.pow10.size - 1)]
+    hard = np.flatnonzero(((mant > fast.mant_max) | (frac >= fast.pow10.size)) & ~slow)
+    if hard.size:
+        quot = mant[hard].astype(exact.dtype) / exact.pow10[f[hard]]
+        rounded = quot.astype(np.float64)
+        # the cast to float64 rounds once more, which can only err when the
+        # quotient sits on a midpoint between two doubles: half a step from
+        # the cast. That miss is a power of two, exact in float64 (in quad
+        # precision the cast may round another miss onto it, sending one more
+        # token to Python).
+        miss = (quot - rounded.astype(exact.dtype)).astype(np.float64)
+        step = np.nextafter(rounded, np.copysign(np.inf, miss)) - rounded
+        slow[hard[(miss != 0) & (miss + miss == step)]] = True
+        vals[hard] = rounded
     # applied last, so that "-0" and "-0.0" read -0.0
     vals[minus_tok] = -vals[minus_tok]
 
-    for i in np.flatnonzero(slow).tolist():
-        head, _, tail = feats[i].partition(":")
+    slow_tokens = np.flatnonzero(slow)
+    spans = (a[slow_tokens].tolist() for a in (start, colon_at, end))
+    for i, s, c, e in zip(slow_tokens.tolist(), *spans):
         try:
-            idx[i] = int(head)
-            vals[i] = float(tail)
+            if c >= s:
+                idx[i] = int(text[s:c])
+            vals[i] = float(text[c + 1 : e])
         except (ValueError, OverflowError):
             return None
-    return idx, vals
-
-
-def _parse_batch(lines, n_features) -> SparseDataset | None:
-    """Parse whole lines: labels with Python's float, features by _scan_features.
-
-    Returns None where _parse_lines would raise, so that it can name the line.
-    """
-    labels, lengths, feats = [], [], []
-    for line in lines:
-        tokens = line.split()
-        if tokens:
-            labels.append(tokens[0])
-            lengths.append(len(tokens) - 1)
-            feats += tokens[1:]
-    t = len(feats)
-    try:
-        labs = np.fromiter(map(float, labels), dtype=np.float64, count=len(labels))
-    except ValueError:
-        return None
-    scanned = _scan_features(feats)
-    if scanned is None:
-        return None
-    idx, vals = scanned
+    idx = idx[feats]
     # checked before idx - 1, which would wrap around at the int64 minimum
-    if t and idx.min() < 1:
+    if idx.size and idx.min() < 1:
         return None
-    row_ptr = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=row_ptr[1:])
+    row_ptr = np.append(labels - np.arange(labels.size), feats.size)
     if n_features is not None:
         m = n_features
     else:
-        m = int(idx.max()) if t else 0
+        m = int(idx.max()) if idx.size else 0
     try:
-        return SparseDataset(row_ptr, idx - 1, vals, labs, m)
+        return SparseDataset(row_ptr, idx - 1, vals[feats], vals[labels], m)
     except ValueError:
         return None
 

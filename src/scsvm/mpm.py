@@ -31,7 +31,7 @@ import logging
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -177,15 +177,17 @@ class MpmConfig:
 
 
 def _fields_as_json(record) -> dict:
-    """A frozen dataclass's fields in declaration order (its __init__ sets
-    them in that order), with every non-finite float spelled as its repr
-    ("inf", "-inf", "nan"), which strict JSON has no token for."""
-    return {
-        name: repr(float(value))
-        if isinstance(value, float) and not math.isfinite(value)
-        else value
-        for name, value in vars(record).items()
-    }
+    """A frozen dataclass's fields in declaration order, with every non-finite
+    float spelled as its repr ("inf", "-inf", "nan"), which strict JSON has no
+    token for. Read by name: vars() would make each record build and keep an
+    instance dict."""
+    out = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            value = repr(float(value))
+        out[f.name] = value
+    return out
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -124,3 +125,23 @@ def assert_replayed(report, solves: int):
     assert report.total_cg == sum(rec.cg_iterations for rec in report.history)
     for record in report.history[report.repeat_k + 1:]:
         assert record == replace(report.history[record.k - report.repeat_period], k=record.k)
+
+
+def bytes_kept_per_object(serialize, make, count=1_000) -> float:
+    """Bytes still allocated per object after serialize(obj) ran over `count`
+    fresh objects from make(count) and its results were dropped.
+
+    A first pass over other objects fills the interpreter's free lists, so that
+    what is left is what the objects themselves keep.
+    """
+    for obj in make(3 * count):
+        serialize(obj)
+    objects = make(count)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for obj in objects:
+            serialize(obj)
+        return (tracemalloc.get_traced_memory()[0] - before) / count
+    finally:
+        tracemalloc.stop()

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from scsvm import data as scsvm_data
 from scsvm.data import (
+    DatasetStats,
     LabelMap,
     SparseDataset,
     parse_svmlight,
@@ -22,6 +23,8 @@ from scsvm.data import (
     serialize_svmlight,
     split,
 )
+
+from _util import bytes_kept_per_object
 
 SIMPLE = "+1 1:0.5 3:1.25\n-1 2:2\n"
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -121,6 +124,19 @@ def test_parse_splits_tokens_at_any_whitespace_inside_a_line():
     np.testing.assert_array_equal(ds.col_idx, [0, 1, 2])
 
 
+def test_parse_file_lines_end_at_a_lone_carriage_return(tmp_path):
+    # a file is read with universal newlines: "\r", "\r\n" and "\n" each end a line
+    path = tmp_path / "cr.svm"
+    path.write_bytes(b"+1 1:1\r-1 2:2 \r\n+1 1:1 3:1\n-1 3:4\r")
+    ds = parse_svmlight(path)
+    np.testing.assert_array_equal(ds.labels, [1.0, -1.0, 1.0, -1.0])
+    np.testing.assert_array_equal(ds.row_ptr, [0, 1, 2, 4, 5])
+    np.testing.assert_array_equal(ds.col_idx, [0, 1, 0, 2, 2])
+    path.write_bytes(b"+1 1:1\r-1 2:2\r+1 1:x\n")
+    with pytest.raises(ValueError, match="cr.svm, line 3: expected index:value, got '1:x'"):
+        parse_svmlight(path)
+
+
 def test_parse_empty_file_is_an_error():
     with pytest.raises(ValueError, match="no samples"):
         parse_text("")
@@ -145,6 +161,50 @@ def test_dataset_validates_structure():
             labels=np.array([1.0]),
             m=2,
         )
+
+
+def csr(row_ptr, col_idx):
+    n = len(row_ptr) - 1
+    return SparseDataset(
+        row_ptr=np.array(row_ptr),
+        col_idx=np.array(col_idx, dtype=np.int64),
+        values=np.ones(len(col_idx)),
+        labels=np.ones(n),
+        m=10,
+    )
+
+
+@pytest.mark.parametrize(
+    "row_ptr, col_idx",
+    [
+        ([0, 2, 4], [1, 2, 0, 1]),  # a drop at a row boundary
+        ([0, 2, 4], [1, 2, 2, 3]),  # a repeat at a row boundary
+        ([0, 2, 2, 3], [3, 4, 0]),  # a drop across an empty row
+        ([0, 1, 1, 1, 2], [5, 5]),  # a repeat across two empty rows
+        ([0, 0, 2, 3], [1, 2, 0]),  # an empty first row
+        ([0, 3, 4], [0, 4, 9, 0]),  # a drop into the last row
+        ([0, 2, 3, 3], [4, 6, 1]),  # a drop before an empty last row
+        ([0, 1, 2, 3], [9, 9, 9]),  # one entry per row, all the same column
+    ],
+)
+def test_dataset_accepts_column_drops_at_row_starts(row_ptr, col_idx):
+    assert csr(row_ptr, col_idx).nnz == len(col_idx)
+
+
+@pytest.mark.parametrize(
+    "row_ptr, col_idx",
+    [
+        ([0, 2], [1, 1]),  # a repeat inside the only row
+        ([0, 2, 5], [1, 2, 0, 3, 3]),  # a repeat inside the last row
+        ([0, 3, 4], [0, 5, 4, 1]),  # a decrease inside the first row
+        ([0, 0, 2], [4, 1]),  # a decrease inside a row after an empty row
+        ([0, 2, 2, 4], [1, 2, 3, 3]),  # a repeat in the row after an empty row
+        ([0, 1, 3], [0, 7, 6]),  # a decrease at the very end
+    ],
+)
+def test_dataset_rejects_repeats_and_decreases_inside_a_row(row_ptr, col_idx):
+    with pytest.raises(ValueError, match="strictly increasing per row"):
+        csr(row_ptr, col_idx)
 
 
 def test_matrix_roundtrip():
@@ -265,6 +325,15 @@ def test_stats():
     assert d == {"n": 2, "m": 3, "nnz": 3, "density_pct": 50.0}
 
 
+def test_stats_as_dict_leaves_the_stats_as_they_were():
+    # reading the fields through vars() would make each object build and keep
+    # an instance dict
+    def stats(count):
+        return [DatasetStats(i, 3, 2 * i, 0.5) for i in range(count)]
+
+    assert bytes_kept_per_object(DatasetStats.as_dict, stats) < 8
+
+
 def test_with_feature_count_pads():
     ds = parse_text(SIMPLE)
     wider = ds.with_feature_count(10)
@@ -371,12 +440,20 @@ def spell_index(i, style):
     return str(i)
 
 
+# every ASCII byte str.split() splits on, a lone "\r" among them: a stream
+# line ends only at "\n"
+ASCII_SEPARATORS = [" ", "  ", "\t", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x1f", " \r "]
+# whitespace to str.split() but outside ASCII: such a line is never scanned as bytes
+WIDE_SEPARATORS = ["\xa0", "\u3000", "\u2028", "\x85"]
+
+
 @st.composite
 def svmlight_lines(draw):
     kind = draw(st.sampled_from(["row", "row", "row", "label-only", "blank"]))
-    end = draw(st.sampled_from(["\n", "\r\n"]))
+    # LIBSVM files end each line with a space
+    end = draw(st.sampled_from(["", " ", "\t", "\r"])) + draw(st.sampled_from(["\n", "\r\n"]))
     if kind == "blank":
-        return draw(st.sampled_from(["", " ", "\t"])) + end
+        return draw(st.sampled_from(["", " ", "\t", "\x1f"])) + end
     label = draw(LABELS)
     if kind == "label-only":
         return label + end
@@ -385,8 +462,19 @@ def svmlight_lines(draw):
     tokens = [f"{spell_index(i, draw(styles))}:{draw(VALUES)}" for i in idx]
     if draw(st.integers(0, 7)) == 0:
         tokens.insert(draw(st.integers(0, len(tokens))), draw(ODD_TOKENS))
-    sep = draw(st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c"]))
+    sep = draw(st.sampled_from(ASCII_SEPARATORS))
+    if draw(st.integers(0, 9)) == 0:
+        sep = draw(st.sampled_from(WIDE_SEPARATORS))
     return sep.join([label, *tokens]) + end
+
+
+@st.composite
+def svmlight_texts(draw):
+    text = "".join(draw(st.lists(svmlight_lines(), max_size=14)))
+    if draw(st.booleans()):
+        # a last line with no newline
+        text = text.removesuffix("\n")
+    return text
 
 
 def parse_or_message(parse):
@@ -406,13 +494,15 @@ def line_by_line(text, n_features):
 
 @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
-    st.lists(svmlight_lines(), max_size=14).map("".join),
+    svmlight_texts(),
     st.one_of(st.none(), st.integers(0, 16)),
     st.integers(1, 64),
 )
 @example("+1 1:1\n-1 1:2:3 5\n", None, 1_000)
 @example("+1 1:1\n-1 1:2:3 5\n", None, 1)
 @example("+1 -9223372036854775808:1\n", 2**64, 1_000)  # idx - 1 wraps in int64
+@example("+1 1:1\r-1 2:2\x1c3:3 \n+1 1:1", None, 1_000)
+@example("+1 1:1\xa02:2\n-1 1:3\n", None, 1_000)
 def test_batched_parse_matches_line_by_line(monkeypatch, text, n_features, batch_chars):
     # small batches put batch boundaries anywhere in the text
     monkeypatch.setattr(scsvm_data, "_BATCH_CHARS", batch_chars)
@@ -495,6 +585,21 @@ def test_feature_values_read_as_python_float(monkeypatch, working, values):
     assert ds.col_idx.tolist() == list(range(len(values)))
 
 
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(NUMERALS, min_size=1, max_size=30))
+@example(MIDPOINT_HAZARDS)
+@example(SATURATING)
+@pytest.mark.parametrize("working", ["native", "float64"])
+def test_labels_read_as_python_float(monkeypatch, working, labels):
+    # labels are scanned with the values, one per line, before any feature
+    if working == "float64":
+        monkeypatch.setattr(scsvm_data, "_EXACT", scsvm_data._exact_in(np.float64))
+    ds = parse_text("".join(f"{label} 1:{i}\n" for i, label in enumerate(labels, start=1)))
+    want = np.array([float(label) for label in labels])
+    assert ds.labels.tobytes() == want.tobytes()
+    assert ds.values.tolist() == list(range(1, len(labels) + 1))
+
+
 @pytest.mark.parametrize(
     "index",
     ["1", "007", "999999999999999999", "1000000000000000000", "9223372036854775807", "+5", "1_0"],
@@ -514,8 +619,9 @@ def test_plain_decimals_are_not_read_by_python_float(monkeypatch):
     monkeypatch.setattr(scsvm_data, "float", counting_float, raising=False)
     ds = parse_text("+1 1:0.5 2:-1.25 3:7\n-1 1:3. 2:-.5 3:1e-5\n")
     np.testing.assert_array_equal(ds.values, [0.5, -1.25, 7.0, 3.0, -0.5, 1e-5])
-    # the labels, and the one token in e-notation
-    assert calls == ["+1", "-1", "1e-5"]
+    # labels are scanned like values: only the one with a "+" and the one
+    # token in e-notation take Python's float
+    assert calls == ["+1", "1e-5"]
 
 
 def test_float64_working_type_has_clingers_bounds():

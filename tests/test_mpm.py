@@ -34,6 +34,7 @@ from scsvm.projection import g_value, project_omega_s
 
 from _util import (
     assert_replayed,
+    bytes_kept_per_object,
     count_solves,
     dense_dataset,
     gaussian_blobs,
@@ -731,3 +732,21 @@ def test_model_round_trip_property(omega, b):
     back = ModelTheta.load(io.StringIO(buf.getvalue()))
     np.testing.assert_array_equal(back.omega, model.omega)
     assert back.b == model.b
+
+
+def test_report_serialization_leaves_the_records_as_they_were():
+    # reading a record through vars() would make it build and keep an instance
+    # dict, about 64 B per record, for as long as the report lives
+    def report(count):
+        # one report of count records, so the figure is per record
+        history = tuple(
+            IterationRecord(k, 2.0, 1.0, 0.5, 0.1, math.inf if k else None, k % 3, None)
+            for k in range(count)
+        )
+        return [
+            TrainReport(count - 1, 0, 0.5, "max_outer", "dense", 12, 0.4, False, None, None, history)
+        ]
+
+    assert report(2)[0].as_dict()["history"][1]["p_progress"] == "inf"
+    kept = bytes_kept_per_object(lambda r: r.as_dict(), report)
+    assert kept < 8
