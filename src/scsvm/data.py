@@ -8,6 +8,9 @@ that training requires.
 The parser reads about 1 MB of whole lines at a time and scans them as one
 byte string: the lines are joined and encoded once, and their bounds come
 from their lengths, so a line ends where the stream's readlines ended it.
+Where the process may run on two CPUs, a stream of more than one batch is
+read in batches of half that size by two threads, each parsing the batch it
+read, and the parsed batches are kept in file order.
 Tokens are separated by the ASCII bytes str.split() splits on (space, tab,
 line feed, vertical tab, form feed, carriage return and 0x1c to 0x1f); a
 batch with a character outside ASCII is left to _parse_lines. One pass finds
@@ -30,10 +33,13 @@ reference, and it names the line of any error.
 
 from __future__ import annotations
 
+import os
 import re
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from functools import partial
+from itertools import chain, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -56,8 +62,11 @@ __all__ = [
 # sharing a dataset (run_benchmark with jobs > 1) may request together
 _FORMS_LOCK = threading.Lock()
 
-# the parser reads whole lines in batches of about this many characters
+# the parser reads whole lines in batches of about this many characters in all:
+# with several threads, each reads and parses an equal share of it
 _BATCH_CHARS = 1 << 20
+# at most this many threads parse one file's batches
+_PARSE_THREADS = 2
 _MAX_INDEX = int(np.iinfo(np.int64).max)
 # np.fromstring reads integers of up to this many digits exactly (10**18 < 2**63);
 # longer ones can saturate at the int64 maximum
@@ -366,10 +375,10 @@ def _parse_batch(lines, n_features) -> SparseDataset | None:
     ASCII, one without a token, and one whose lines do not each end in a
     separator.
     """
-    text = "".join(lines)
-    if not text.isascii():
+    try:
+        buf = "".join(lines).encode("ascii")
+    except UnicodeEncodeError:
         return None
-    buf = text.encode("ascii")
     raw = np.frombuffer(buf, dtype=np.uint8)
     # line L is raw[bounds[L]:bounds[L + 1]]
     bounds = np.zeros(len(lines) + 1, dtype=np.int64)
@@ -437,6 +446,8 @@ def _parse_batch(lines, n_features) -> SparseDataset | None:
     slow[short[(raw[colon_at[short] + 1] - _ZERO > 9) & (raw[end[short] - 1] - _ZERO > 9)]] = True
     frac = np.zeros(t, dtype=np.int64)
     frac[dot_tok] = end[dot_tok] - dot - 1
+    # free the byte scan's arrays before the number scan
+    del pos, kind, sep, edges, filled, gap, token_of_gap, first, colon, dot, dot_tok, minus
 
     # each index, value and label scans as one run of digits; one made only of
     # dots scans as none, and its int or float would fail
@@ -447,6 +458,7 @@ def _parse_batch(lines, n_features) -> SparseDataset | None:
     # the number before
     at = np.arange(t) + np.cumsum(feature)
     idx, mant = nums[at - 1], nums[at]
+    del nums, at
 
     exact, fast = _EXACT, _FLOAT64
     f = np.minimum(frac, exact.pow10.size - 1)
@@ -473,10 +485,11 @@ def _parse_batch(lines, n_features) -> SparseDataset | None:
     slow_tokens = np.flatnonzero(slow)
     spans = (a[slow_tokens].tolist() for a in (start, colon_at, end))
     for i, s, c, e in zip(slow_tokens.tolist(), *spans):
+        token = buf[s:e].decode("ascii")
         try:
             if c >= s:
-                idx[i] = int(text[s:c])
-            vals[i] = float(text[c + 1 : e])
+                idx[i] = int(token[: c - s])
+            vals[i] = float(token[c - s + 1 :])
         except (ValueError, OverflowError):
             return None
     idx = idx[feats]
@@ -495,33 +508,127 @@ def _parse_batch(lines, n_features) -> SparseDataset | None:
 
 
 def _concat(parts, name: str, n_features) -> SparseDataset:
+    """Join the parts in order, emptying the list.
+
+    Field by field, each part's copy of a field is released as soon as the
+    joined field exists, so the join holds the parts and one joined field.
+    """
     if not any(part.n for part in parts):
         raise ValueError(f"{name}: no samples")
     if len(parts) == 1:
-        return parts[0]
+        return parts.pop()
+    m = n_features if n_features is not None else max(part.m for part in parts)
     offsets = np.cumsum([0] + [part.nnz for part in parts])
-    row_ptr = np.concatenate(
-        [[0]] + [part.row_ptr[1:] + off for part, off in zip(parts, offsets)]
-    )
-    return SparseDataset(
-        row_ptr=row_ptr,
-        col_idx=np.concatenate([part.col_idx for part in parts]),
-        values=np.concatenate([part.values for part in parts]),
-        labels=np.concatenate([part.labels for part in parts]),
-        m=n_features if n_features is not None else max(part.m for part in parts),
-    )
+    columns = [
+        [[0]] + [part.row_ptr[1:] + off for part, off in zip(parts, offsets)],
+        [part.col_idx for part in parts],
+        [part.values for part in parts],
+        [part.labels for part in parts],
+    ]
+    parts.clear()
+
+    def join(arrays):
+        joined = np.concatenate(arrays)
+        arrays.clear()
+        return joined
+
+    return SparseDataset(*map(join, columns), m=m)
+
+
+def _parse_threads() -> int:
+    """The threads that parse one file: the CPUs this process may run on, at
+    most _PARSE_THREADS."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, _PARSE_THREADS)
 
 
 def _parse_stream(stream, name: str, n_features) -> SparseDataset:
+    threads = _parse_threads()
+    # the threads share one batch's worth of text
+    reads = iter(partial(stream.readlines, max(1, _BATCH_CHARS // threads)), [])
+    # a stream of one batch, like a process on one CPU, is parsed here alone
+    head = list(islice(reads, min(threads, 2)))
+    threaded = len(head) > 1
+    batches = chain(head, reads)
+    del head
+    if threaded:
+        return _concat(_parse_in_threads(batches, threads, name, n_features), name, n_features)
     parts = []
     lineno = 1
-    while lines := stream.readlines(_BATCH_CHARS):
+    for lines in batches:
         part = _parse_batch(lines, n_features)
         if part is None:
             part = _parse_lines(lines, name, n_features, lineno)
         parts.append(part)
         lineno += len(lines)
     return _concat(parts, name, n_features)
+
+
+def _parse_in_threads(batches, threads: int, name: str, n_features) -> list:
+    """The parts of the batches, parsed on this thread and threads - 1 helpers.
+
+    Each thread reads the next batch under a lock and parses it, and this one
+    keeps the parsed batches in file order, so that the parts, the fallback to
+    _parse_lines and the line an error names are those of a serial parse.
+    """
+    batches = enumerate(batches)
+    lock = threading.Lock()
+    stop = False
+    failed = []
+    # batch number -> (its line count, its part or None, its lines if None)
+    done = {}
+    parts = []
+    lineno = 1
+
+    def parse_next() -> bool:
+        """Read and parse the next batch; False once there is none to take."""
+        with lock:
+            item = None if stop else next(batches, None)
+        if item is None:
+            return False
+        k, lines = item
+        part = _parse_batch(lines, n_features)
+        done[k] = (len(lines), part, lines if part is None else None)
+        return True
+
+    def keep_ready():
+        """Keep the parsed batches that come next in file order."""
+        nonlocal lineno
+        while len(parts) in done:
+            count, part, lines = done.pop(len(parts))
+            if part is None:
+                part = _parse_lines(lines, name, n_features, lineno)
+            parts.append(part)
+            lineno += count
+
+    def help_parse():
+        nonlocal stop
+        try:
+            while parse_next():
+                pass
+        except BaseException as exc:  # raised again on the calling thread
+            failed.append(exc)
+            stop = True
+
+    started = []
+    try:
+        for _ in range(threads - 1):
+            thread = threading.Thread(target=help_parse, name="svmlight-parse")
+            thread.start()
+            started.append(thread)
+        while parse_next():
+            keep_ready()
+    finally:
+        stop = True
+        for thread in started:
+            thread.join()
+    keep_ready()
+    if failed:
+        raise failed[0]
+    return parts
 
 
 def parse_svmlight(source, n_features: int | None = None) -> SparseDataset:

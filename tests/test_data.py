@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 import threading
+import time
+import tracemalloc
 from decimal import Context, Decimal
 from pathlib import Path
 
@@ -114,8 +117,173 @@ def test_parse_error_in_a_late_batch_names_the_file_line(tmp_path, monkeypatch):
     lines[5_000] = "-1 1:2 x:3"
     path = tmp_path / "late.svm"
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
-    with pytest.raises(ValueError, match="late.svm, line 5001: expected index:value, got 'x:3'"):
+    for threads in (1, 2):
+        monkeypatch.setattr(scsvm_data, "_PARSE_THREADS", threads)
+        with pytest.raises(ValueError, match="late.svm, line 5001: expected index:value, got 'x:3'"):
+            parse_svmlight(path)
+
+
+def numbered_lines(count):
+    """svmlight lines whose first feature value is their 1-based line number."""
+    return [f"+1 1:{i} 2:0.5\n" for i in range(1, count + 1)]
+
+
+def recording_batches(monkeypatch, delay_after=None):
+    """Wrap _parse_batch to record (first line number, parsed on the calling
+    thread) per batch of numbered_lines; batches that start after line
+    delay_after take 0.2 s longer."""
+    real = scsvm_data._parse_batch
+    calls = []
+
+    def parse_batch(lines, n_features):
+        first = int(lines[0].split()[1].partition(":")[2])
+        calls.append((first, threading.current_thread() is threading.main_thread()))
+        if delay_after is not None and first > delay_after:
+            time.sleep(0.2)
+        return real(lines, n_features)
+
+    monkeypatch.setattr(scsvm_data, "_parse_batch", parse_batch)
+    return calls
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_parse_threads_follow_the_cpus_the_process_may_run_on(monkeypatch, threads):
+    monkeypatch.setattr(scsvm_data, "_PARSE_THREADS", threads)
+    for cpus, want in [({0}, 1), ({0, 1}, threads), (set(range(8)), threads)]:
+        monkeypatch.setattr(scsvm_data.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        assert scsvm_data._parse_threads() == want
+
+
+def test_parse_of_one_batch_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(scsvm_data, "_PARSE_THREADS", 2)
+    calls = recording_batches(monkeypatch)
+    monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a thread started"))
+    text = "".join(numbered_lines(300))
+    assert len(text) < scsvm_data._BATCH_CHARS // 2
+    assert parse_text(text).n == 300
+    assert calls == [(1, True)]
+
+
+def test_parse_error_while_a_later_batch_is_in_flight(tmp_path, monkeypatch):
+    monkeypatch.setattr(scsvm_data, "_BATCH_CHARS", 2_000)
+    monkeypatch.setattr(scsvm_data, "_PARSE_THREADS", 2)
+    lines = numbered_lines(2_000)
+    lines[1_500] = "-1 1:1501 x:3\n"
+    path = tmp_path / "inflight.svm"
+    path.write_text("".join(lines), encoding="ascii")
+    # every batch after the bad one is slow, so one of them is still being
+    # parsed when the error is raised; the parse waits for it to end
+    calls = recording_batches(monkeypatch, delay_after=1_501)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="inflight.svm, line 1501: expected index:value, got 'x:3'"):
         parse_svmlight(path)
+    assert threading.active_count() == before
+    if scsvm_data._parse_threads() > 1:
+        assert any(not on_main for _, on_main in calls)
+        assert any(first > 1_501 for first, _ in calls)
+
+
+def test_parse_helper_exception_stops_the_parse(monkeypatch):
+    monkeypatch.setattr(scsvm_data, "_BATCH_CHARS", 2_000)
+    monkeypatch.setattr(scsvm_data, "_PARSE_THREADS", 2)
+    real = scsvm_data._parse_batch
+    on_main = []
+
+    def failing_off_the_main_thread(lines, n_features):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("helper failed")
+        on_main.append(lines)
+        time.sleep(0.01)  # leave batches for the helper to take
+        return real(lines, n_features)
+
+    monkeypatch.setattr(scsvm_data, "_parse_batch", failing_off_the_main_thread)
+    before = threading.active_count()
+    text = "".join(numbered_lines(4_000))
+    if scsvm_data._parse_threads() > 1:
+        with pytest.raises(MemoryError, match="helper failed"):
+            parse_text(text)
+        # this thread takes no more batches once the helper has failed
+        assert len(on_main) < 30
+    else:
+        assert parse_text(text).n == 4_000
+    assert threading.active_count() == before
+
+
+def test_parse_on_more_threads_than_cores_switching_often(monkeypatch):
+    lines = numbered_lines(6_000)
+    text = "".join(lines)
+    lines[5_900] = "-1 1:5901 2:x\n"
+    bad = "".join(lines)
+    monkeypatch.setattr(scsvm_data, "_PARSE_THREADS", 1)
+    want = parse_text(text)
+    monkeypatch.setattr(scsvm_data, "_BATCH_CHARS", 4_000)
+    monkeypatch.setattr(scsvm_data, "_PARSE_THREADS", 8)
+    monkeypatch.setattr(scsvm_data.os, "sched_getaffinity", lambda pid: set(range(8)))
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert same_content(parse_text(text), want)
+            with pytest.raises(ValueError, match="line 5901: expected index:value, got '2:x'"):
+                parse_text(bad)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_parse_reads_an_open_file_object(tmp_path, monkeypatch, threads):
+    monkeypatch.setattr(scsvm_data, "_BATCH_CHARS", 2_000)
+    monkeypatch.setattr(scsvm_data, "_PARSE_THREADS", threads)
+    path = tmp_path / "open.svm"
+    path.write_text("".join(numbered_lines(3_000)), encoding="ascii")
+    calls = recording_batches(monkeypatch)
+    with path.open(encoding="ascii") as fh:
+        ds = parse_svmlight(fh)
+        assert not fh.closed
+    assert len(calls) > 2
+    np.testing.assert_array_equal(ds.values[::2], np.arange(1, 3_001))
+    assert same_content(ds, parse_svmlight(path))
+
+
+def test_batch_parse_allocates_under_nine_times_its_text():
+    rng = np.random.default_rng(1)
+    values = rng.standard_normal((2_000, 20)).tolist()
+    lines = [" ".join(["-1", *(f"{j + 1}:{v!r}" for j, v in enumerate(row))]) + "\n" for row in values]
+    chars = sum(map(len, lines))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ds = scsvm_data._parse_batch(lines, None)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert ds.nnz == 40_000
+    # the byte scan's arrays are freed before the number scan
+    assert peak < 9 * chars
+
+
+def test_concat_holds_the_parts_and_one_joined_field():
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        parts = [
+            SparseDataset(np.arange(0, 20_001, 4), np.tile(np.arange(4), 5_000),
+                          rng.standard_normal(20_000), np.ones(5_000), 4)
+            for _ in range(8)
+        ]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        ds = scsvm_data._concat(parts, "parts", None)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert ds.nnz == 160_000 and ds.n == 40_000
+    # beyond the parts: the largest joined field, and the final check's
+    # row-start mask of one byte per entry
+    assert peak < ds.values.nbytes + 2 * ds.nnz
+    assert parts == []
 
 
 def test_parse_splits_tokens_at_any_whitespace_inside_a_line():
@@ -507,16 +675,18 @@ def test_batched_parse_matches_line_by_line(monkeypatch, text, n_features, batch
     # small batches put batch boundaries anywhere in the text
     monkeypatch.setattr(scsvm_data, "_BATCH_CHARS", batch_chars)
     want = parse_or_message(lambda: line_by_line(text, n_features))
-    got = parse_or_message(lambda: parse_text(text, n_features=n_features))
-    if isinstance(want, str):
-        assert got == want
-    else:
-        assert isinstance(got, SparseDataset), got
-        assert got.m == want.m
-        # bytes, not values: -0.0 must stay -0.0, and a nan label equal itself
-        for field in ("row_ptr", "col_idx", "values", "labels"):
-            g, w = getattr(got, field), getattr(want, field)
-            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), field
+    for threads in (1, 2):
+        monkeypatch.setattr(scsvm_data, "_PARSE_THREADS", threads)
+        got = parse_or_message(lambda: parse_text(text, n_features=n_features))
+        if isinstance(want, str):
+            assert got == want, threads
+        else:
+            assert isinstance(got, SparseDataset), (threads, got)
+            assert got.m == want.m
+            # bytes, not values: -0.0 must stay -0.0, and a nan label equal itself
+            for field in ("row_ptr", "col_idx", "values", "labels"):
+                g, w = getattr(got, field), getattr(want, field)
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (threads, field)
 
 
 # The feature scan reads plain decimals with C-level passes and leaves the rest
