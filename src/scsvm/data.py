@@ -39,7 +39,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, count, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -549,22 +549,12 @@ def _parse_stream(stream, name: str, n_features) -> SparseDataset:
     threads = _parse_threads()
     # the threads share one batch's worth of text
     reads = iter(partial(stream.readlines, max(1, _BATCH_CHARS // threads)), [])
-    # a stream of one batch, like a process on one CPU, is parsed here alone
-    head = list(islice(reads, min(threads, 2)))
-    threaded = len(head) > 1
-    batches = chain(head, reads)
-    del head
-    if threaded:
-        return _concat(_parse_in_threads(batches, threads, name, n_features), name, n_features)
-    parts = []
-    lineno = 1
-    for lines in batches:
-        part = _parse_batch(lines, n_features)
-        if part is None:
-            part = _parse_lines(lines, name, n_features, lineno)
-        parts.append(part)
-        lineno += len(lines)
-    return _concat(parts, name, n_features)
+    # a stream of one batch is parsed on this thread alone
+    head = list(islice(reads, 2))
+    threads = threads if len(head) > 1 else 1
+    # the first batches are popped as they are taken, so their text goes with them
+    batches = chain((head.pop(0) for _ in range(len(head))), reads)
+    return _concat(_parse_in_threads(batches, threads, name, n_features), name, n_features)
 
 
 def _parse_in_threads(batches, threads: int, name: str, n_features) -> list:
@@ -572,46 +562,55 @@ def _parse_in_threads(batches, threads: int, name: str, n_features) -> list:
 
     Each thread reads the next batch under a lock and parses it, and this one
     keeps the parsed batches in file order, so that the parts, the fallback to
-    _parse_lines and the line an error names are those of a serial parse.
+    _parse_lines and the error raised are those of a serial parse.
     """
-    batches = enumerate(batches)
+    numbers = count()
     lock = threading.Lock()
     stop = False
-    failed = []
-    # batch number -> (its line count, its part or None, its lines if None)
+    # batch number -> (its line count, its part or None, its lines if None),
+    # or the error that reading or parsing it raised
     done = {}
     parts = []
     lineno = 1
 
     def parse_next() -> bool:
-        """Read and parse the next batch; False once there is none to take."""
-        with lock:
-            item = None if stop else next(batches, None)
-        if item is None:
+        """Read and parse the next batch; False once there is none to take.
+
+        An error is kept as the outcome of the batch it came from, and stops
+        the reads."""
+        nonlocal stop
+        try:
+            with lock:
+                if stop:
+                    return False
+                k = next(numbers)
+                lines = next(batches, None)
+            if lines is None:
+                return False
+            part = _parse_batch(lines, n_features)
+            done[k] = (len(lines), part, lines if part is None else None)
+        except BaseException as exc:  # raised again in file order
+            done[k] = exc
+            stop = True
             return False
-        k, lines = item
-        part = _parse_batch(lines, n_features)
-        done[k] = (len(lines), part, lines if part is None else None)
         return True
 
     def keep_ready():
         """Keep the parsed batches that come next in file order."""
         nonlocal lineno
         while len(parts) in done:
-            count, part, lines = done.pop(len(parts))
+            outcome = done.pop(len(parts))
+            if isinstance(outcome, BaseException):
+                raise outcome
+            line_count, part, lines = outcome
             if part is None:
                 part = _parse_lines(lines, name, n_features, lineno)
             parts.append(part)
-            lineno += count
+            lineno += line_count
 
     def help_parse():
-        nonlocal stop
-        try:
-            while parse_next():
-                pass
-        except BaseException as exc:  # raised again on the calling thread
-            failed.append(exc)
-            stop = True
+        while parse_next():
+            pass
 
     started = []
     try:
@@ -626,8 +625,6 @@ def _parse_in_threads(batches, threads: int, name: str, n_features) -> list:
         for thread in started:
             thread.join()
     keep_ready()
-    if failed:
-        raise failed[0]
     return parts
 
 

@@ -183,6 +183,51 @@ def test_parse_error_while_a_later_batch_is_in_flight(tmp_path, monkeypatch):
         assert any(first > 1_501 for first, _ in calls)
 
 
+class SignallingReads(io.TextIOWrapper):
+    """A strict ASCII text stream that sets an event when a read fails."""
+
+    def __init__(self, data: bytes, failed: threading.Event):
+        super().__init__(io.BytesIO(data), encoding="ascii")
+        self.failed = failed
+
+    def readlines(self, hint=-1):
+        try:
+            return super().readlines(hint)
+        except UnicodeDecodeError:
+            self.failed.set()
+            raise
+
+
+def test_parse_raises_a_bad_line_before_a_later_read_error(monkeypatch):
+    monkeypatch.setattr(scsvm_data, "_BATCH_CHARS", 2_000)
+    monkeypatch.setattr(scsvm_data, "_PARSE_THREADS", 2)
+    monkeypatch.setattr(scsvm_data.os, "sched_getaffinity", lambda pid: {0, 1})
+    lines = numbered_lines(3_000)
+    lines[9] = "-1 1:10 x:3\n"
+    # a byte the ASCII stream cannot decode, some batches later
+    lines[2_900] = "+1 1:2901 2:\u00e9\n"
+    data = "".join(lines).encode("utf-8")
+    real = scsvm_data._parse_batch
+    failed = threading.Event()
+
+    def parse_batch(lines, n_features):
+        # the bad line's batch is parsed only after a later read failed
+        if any("x:3" in line for line in lines):
+            assert failed.wait(5)
+        return real(lines, n_features)
+
+    monkeypatch.setattr(scsvm_data, "_parse_batch", parse_batch)
+    before = threading.active_count()
+    # whichever thread takes the bad line's batch, its error is the one raised
+    for _ in range(6):
+        failed.clear()
+        with pytest.raises(ValueError, match="<stream>, line 10: expected index:value, got 'x:3'"):
+            parse_svmlight(SignallingReads(data, failed))
+    assert threading.active_count() == before
+    with pytest.raises(UnicodeDecodeError):
+        parse_svmlight(SignallingReads(data.replace(b"x:3", b"2:3"), failed))
+
+
 def test_parse_helper_exception_stops_the_parse(monkeypatch):
     monkeypatch.setattr(scsvm_data, "_BATCH_CHARS", 2_000)
     monkeypatch.setattr(scsvm_data, "_PARSE_THREADS", 2)
