@@ -33,7 +33,6 @@ reference, and it names the line of any error.
 
 from __future__ import annotations
 
-import os
 import re
 import threading
 from contextlib import contextmanager
@@ -45,6 +44,8 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+
+from .threads import usable_cpus
 
 __all__ = [
     "DatasetStats",
@@ -535,18 +536,8 @@ def _concat(parts, name: str, n_features) -> SparseDataset:
     return SparseDataset(*map(join, columns), m=m)
 
 
-def _parse_threads() -> int:
-    """The threads that parse one file: the CPUs this process may run on, at
-    most _PARSE_THREADS."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(cpus, _PARSE_THREADS)
-
-
 def _parse_stream(stream, name: str, n_features) -> SparseDataset:
-    threads = _parse_threads()
+    threads = min(usable_cpus(), _PARSE_THREADS)
     # the threads share one batch's worth of text
     reads = iter(partial(stream.readlines, max(1, _BATCH_CHARS // threads)), [])
     # a stream of one batch is parsed on this thread alone

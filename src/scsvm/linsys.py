@@ -4,8 +4,9 @@ Every outer iteration solves (P^T P + rho Q^T Q) theta = rhs where
 P = [I 0] strips the bias and Q = [A 1] appends it. On the CG path the
 operator is applied matrix-free: Q^T Q is never formed, only products with A
 and A^T in the form the caller chose, the dataset's cached CSR/CSC pair by
-default or an ndarray and its transpose view. For narrow problems the matrix
-is materialized and a dense Cholesky factorization of it is cheaper than
+default, a SplitCsr pair that computes each product on two threads, or an
+ndarray and its transpose view. For narrow problems the matrix is
+materialized and a dense Cholesky factorization of it is cheaper than
 iterating. The matrix and its factor are cached per operator, because they
 depend only on the data and rho, not on the iterate; the Gram matrix A^T A
 inside them depends on the data alone and is shared with every with_rho copy.
@@ -20,10 +21,18 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dnrm2
 from scipy.linalg.lapack import get_lapack_funcs
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .data import SparseDataset
 
-__all__ = ["CgConfig", "RegularizedNormalOperator", "SolveOutcome", "cg_solve", "dense_solve"]
+__all__ = [
+    "CgConfig",
+    "RegularizedNormalOperator",
+    "SolveOutcome",
+    "SplitCsr",
+    "cg_solve",
+    "dense_solve",
+]
 
 # the LAPACK routine scipy.linalg.cho_solve calls, looked up once
 (_POTRS,) = get_lapack_funcs(("potrs",), dtype=np.float64)
@@ -54,13 +63,52 @@ class SolveOutcome:
     converged: bool
 
 
+class SplitCsr:
+    """A CSR matrix whose product with a vector is computed in two row halves:
+    the rows before the middle stored entry on the calling thread, the rest on
+    a scsvm.threads.Helper, each through scipy's csr_matvec (which releases
+    the GIL) into its slice of one zeroed output.
+
+    Each output entry is summed by one thread, over its row's entries in
+    stored order from zero, as csr_matrix @ v sums it, so the product has the
+    same bits. Over a CSR copy of A^T, whose rows hold the samples in
+    ascending order, it also has the bits of the CSC form's A^T @ q, which
+    adds each sample's terms into the output in that order.
+    """
+
+    def __init__(self, a, helper):
+        self.shape = a.shape
+        rows, cols = a.shape
+        ptr = a.indptr
+        cut = int(np.searchsorted(ptr, ptr[-1] // 2))
+        self._cut = cut
+        # csr_matvec's arguments but the vector and the output, per half
+        self._head = (cut, cols, ptr[: cut + 1], a.indices, a.data)
+        self._tail = (rows - cut, cols, ptr[cut:], a.indices, a.data)
+        self._helper = helper
+
+    def __matmul__(self, v) -> np.ndarray:
+        v = np.ascontiguousarray(v, dtype=np.float64)
+        if v.shape != self.shape[1:]:
+            raise ValueError(f"dimension mismatch: {self.shape} @ {v.shape}")
+        out = np.zeros(self.shape[0])
+        cut = self._cut
+        self._helper.start(_csr_matvec, (*self._tail, v, out[cut:]))
+        try:
+            _csr_matvec(*self._head, v, out[:cut])
+        finally:
+            self._helper.wait()
+        return out
+
+
 class RegularizedNormalOperator:
     """theta -> [omega; 0] + rho * Q^T (Q theta).
 
     forms is the (A, A^T) pair that apply multiplies: by default the
-    dataset's cached CSR and CSC forms; an n x m ndarray and its transpose
-    view make every product a BLAS gemv. Once dense_solve has factored the
-    materialized matrix H, apply is H @ v instead.
+    dataset's cached CSR and CSC forms; a SplitCsr over A and one over a CSR
+    copy of A^T give the same bits on two threads; an n x m ndarray and its
+    transpose view make every product a BLAS gemv. Once dense_solve has
+    factored the materialized matrix H, apply is H @ v instead.
     """
 
     def __init__(self, dataset: SparseDataset, rho: float, forms=None):

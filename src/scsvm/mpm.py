@@ -11,7 +11,10 @@ one strongly convex quadratic solve:
 
 solved densely for narrow data and by matrix-free CG otherwise. The solve
 path, and the form of A that the loop's products use, are chosen once per
-training call (see matrix_forms).
+training call (see matrix_forms). On the CG path, with two or more usable
+CPUs and at least _SPLIT_MIN_NNZ stored entries, every product with A and A^T
+is computed in two row halves, one on a helper thread that the call starts
+and joins, with the same bits as on one thread.
 
 Stopping follows two progress measures. f_prog is used signed, exactly as
 defined: a negative value (f increased) passes its threshold trivially, so
@@ -37,8 +40,9 @@ import numpy as np
 
 from .blas import one_thread
 from .data import SparseDataset, text_file
-from .linsys import CgConfig, RegularizedNormalOperator, cg_solve, dense_solve
+from .linsys import CgConfig, RegularizedNormalOperator, SplitCsr, cg_solve, dense_solve
 from .projection import g_value, project_omega_s
+from .threads import Helper, usable_cpus
 
 __all__ = [
     "IterationRecord",
@@ -60,6 +64,11 @@ logger = logging.getLogger(__name__)
 # Ceiling for the optional geometric penalty schedule. Growth saturates here
 # instead of running into float overflow inside the normal operator.
 RHO_CAP = 1e200
+
+# The CG path splits its products across two threads from this many stored
+# entries of A on. Below it, handing half of each product to the helper costs
+# about as much as it saves (see README, "Solver paths").
+_SPLIT_MIN_NNZ = 100_000
 
 
 @dataclass(frozen=True)
@@ -314,18 +323,22 @@ def p_prog(theta_vec: np.ndarray, p_k: float) -> float:
     return 2.0 * p_k / norm_sq
 
 
-def matrix_forms(ds: SparseDataset, dense: bool):
+def matrix_forms(ds: SparseDataset, dense: bool, helper: Helper | None = None):
     """(A, A^T) in the form the training loop multiplies.
 
     With a dense solve, A becomes a C-contiguous ndarray with A^T as its
     view, so every product is a BLAS gemv, provided that array takes no more
-    memory than the CSR arrays it replaces. Otherwise, and always on the CG
-    path, they are the dataset's cached CSR and CSC forms.
+    memory than the CSR arrays it replaces. On the CG path with a helper
+    thread, they are SplitCsr products over the dataset's CSR form and a CSR
+    copy of A^T, which give the bits of the cached forms. Otherwise they are
+    the dataset's cached CSR and CSC forms.
     """
     csr_bytes = ds.values.nbytes + ds.col_idx.nbytes + ds.row_ptr.nbytes
     if dense and 8 * ds.n * ds.m <= csr_bytes:
         a = ds.matrix().toarray()
         return a, a.T
+    if not dense and helper is not None:
+        return SplitCsr(ds.matrix(), helper), SplitCsr(ds.matrix_t().tocsr(), helper)
     return ds.matrix(), ds.matrix_t()
 
 
@@ -336,16 +349,32 @@ def mpm_train(ds: SparseDataset, cfg: MpmConfig) -> tuple[ModelTheta, TrainRepor
     Returns the final model and the full per-iteration report. Hitting
     max_outer reports termination="max_outer" instead of raising. BLAS runs
     on one thread meanwhile (see scsvm.blas), so the model does not depend on
-    the BLAS thread count.
+    the BLAS thread count. A large enough CG problem on two or more usable
+    CPUs computes its sparse products on this thread and one helper thread,
+    which is joined before the call returns or raises; the model, the counts
+    and the history are the same bits as on one thread.
     """
     if ds.n == 0:
         raise ValueError("cannot train on an empty dataset (n = 0)")
     ds.assert_signed()
+    use_dense = ds.m < cfg.dense_threshold
+    if use_dense or ds.nnz < _SPLIT_MIN_NNZ or usable_cpus() < 2:
+        return _train(ds, cfg, use_dense, matrix_forms(ds, use_dense))
+    helper = Helper()
+    # Building the forms (the copy of A^T takes a few ms) before the thread
+    # starts gives a parse thread joined just before this call the time to
+    # exit and free its glibc arena for the helper; otherwise the helper gets
+    # a new arena, and the next parse leaves about 8 MB resident in each.
+    forms = matrix_forms(ds, use_dense, helper)
+    with helper:
+        return _train(ds, cfg, use_dense, forms)
+
+
+def _train(ds: SparseDataset, cfg: MpmConfig, use_dense: bool, forms):
+    """The outer loop of mpm_train, multiplying the (A, A^T) forms given."""
     n, m = ds.n, ds.m
     s = cfg.resolve_budget(n)
     rho = cfg.rho
-    use_dense = m < cfg.dense_threshold
-    forms = matrix_forms(ds, use_dense)
     a, at = forms
     op = RegularizedNormalOperator(ds, rho, forms)
     f_threshold = math.sqrt(n) * cfg.f_tol_factor

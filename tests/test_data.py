@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import sys
 import threading
 import time
@@ -26,6 +27,7 @@ from scsvm.data import (
     serialize_svmlight,
     split,
 )
+from scsvm.threads import usable_cpus
 
 from _util import bytes_kept_per_object
 
@@ -149,9 +151,22 @@ def recording_batches(monkeypatch, delay_after=None):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_parse_threads_follow_the_cpus_the_process_may_run_on(monkeypatch, threads):
     monkeypatch.setattr(scsvm_data, "_PARSE_THREADS", threads)
+    monkeypatch.setattr(scsvm_data, "_BATCH_CHARS", 2_000)
+    real_start = threading.Thread.start
+    started = []
+
+    def counted_start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    text = "".join(numbered_lines(500))
     for cpus, want in [({0}, 1), ({0, 1}, threads), (set(range(8)), threads)]:
-        monkeypatch.setattr(scsvm_data.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-        assert scsvm_data._parse_threads() == want
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        assert usable_cpus() == len(cpus)
+        started.clear()
+        assert parse_text(text).n == 500
+        assert started == ["svmlight-parse"] * (want - 1)
 
 
 def test_parse_of_one_batch_starts_no_thread(monkeypatch):
@@ -178,7 +193,7 @@ def test_parse_error_while_a_later_batch_is_in_flight(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="inflight.svm, line 1501: expected index:value, got 'x:3'"):
         parse_svmlight(path)
     assert threading.active_count() == before
-    if scsvm_data._parse_threads() > 1:
+    if usable_cpus() > 1:
         assert any(not on_main for _, on_main in calls)
         assert any(first > 1_501 for first, _ in calls)
 
@@ -201,7 +216,7 @@ class SignallingReads(io.TextIOWrapper):
 def test_parse_raises_a_bad_line_before_a_later_read_error(monkeypatch):
     monkeypatch.setattr(scsvm_data, "_BATCH_CHARS", 2_000)
     monkeypatch.setattr(scsvm_data, "_PARSE_THREADS", 2)
-    monkeypatch.setattr(scsvm_data.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     lines = numbered_lines(3_000)
     lines[9] = "-1 1:10 x:3\n"
     # a byte the ASCII stream cannot decode, some batches later
@@ -244,7 +259,7 @@ def test_parse_helper_exception_stops_the_parse(monkeypatch):
     monkeypatch.setattr(scsvm_data, "_parse_batch", failing_off_the_main_thread)
     before = threading.active_count()
     text = "".join(numbered_lines(4_000))
-    if scsvm_data._parse_threads() > 1:
+    if usable_cpus() > 1:
         with pytest.raises(MemoryError, match="helper failed"):
             parse_text(text)
         # this thread takes no more batches once the helper has failed
@@ -263,7 +278,7 @@ def test_parse_on_more_threads_than_cores_switching_often(monkeypatch):
     want = parse_text(text)
     monkeypatch.setattr(scsvm_data, "_BATCH_CHARS", 4_000)
     monkeypatch.setattr(scsvm_data, "_PARSE_THREADS", 8)
-    monkeypatch.setattr(scsvm_data.os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     before = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

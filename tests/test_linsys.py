@@ -11,10 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scsvm.data import SparseDataset, parse_svmlight
-from scsvm.linsys import CgConfig, RegularizedNormalOperator, cg_solve, dense_solve
+from scsvm.linsys import CgConfig, RegularizedNormalOperator, SplitCsr, cg_solve, dense_solve
 from scsvm.mpm import RHO_CAP, MpmConfig, matrix_forms, mpm_train
+from scsvm.threads import Helper
 
 from _util import dense_dataset, narrow_cases, random_dataset, sparse_from_dense
 
@@ -185,6 +188,64 @@ def test_cg_path_apply_stays_matrix_free():
     for _ in range(4):
         v = rng.normal(size=op.dim)
         assert op.apply(v).tobytes() == matrix_free(op, v).tobytes()
+
+
+@st.composite
+def csr_cases(draw):
+    """(features, seed): an n x m matrix whose rows may be empty, whole or in
+    between, with entries spread over sixteen orders of magnitude so that a
+    change in summation order shows in the bits."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(0, 30))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    density = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    values = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-8, 8, size=(n, m))
+    rows_kept = rng.random(n) < draw(st.sampled_from([0.5, 1.0]))
+    return values * (rng.random((n, m)) < density) * rows_kept[:, None], seed
+
+
+def equal_rows(n, m, per_row):
+    # every row holds per_row entries, so half the entries end on a row boundary
+    features = np.zeros((n, m))
+    features[:, :per_row] = np.arange(1, n * per_row + 1).reshape(n, per_row) / 7.0
+    return features
+
+
+@settings(max_examples=150, deadline=None)
+@given(csr_cases())
+@example((np.zeros((5, 4)), 0)).via("an all-zero matrix")
+@example((np.array([[0.0, 3.0, 0.1, 1e-9]]), 1)).via("n = 1")
+@example((np.zeros((1, 3)), 2)).via("n = 1, no entry")
+@example((equal_rows(4, 6, 3), 3)).via("the split between two rows of 3 entries")
+@example((equal_rows(5, 6, 2), 4)).via("an odd row count of equal rows")
+def test_split_products_are_the_sparse_products_to_the_bit(case):
+    features, seed = case
+    ds = sparse_from_dense(features, np.ones(features.shape[0]))
+    rng = np.random.default_rng(seed)
+    with Helper() as helper:
+        a, at = matrix_forms(ds, False, helper)
+        assert isinstance(a, SplitCsr) and isinstance(at, SplitCsr)
+        for _ in range(2):
+            v = rng.normal(size=ds.m) * 10.0 ** rng.integers(-8, 8, size=ds.m)
+            q = rng.normal(size=ds.n) * 10.0 ** rng.integers(-8, 8, size=ds.n)
+            assert (a @ v).tobytes() == (ds.matrix() @ v).tobytes()
+            assert (at @ q).tobytes() == (ds.matrix_t() @ q).tobytes()
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            a @ np.ones(ds.m + 1)
+
+
+def test_split_operator_applies_the_same_bits():
+    rng = np.random.default_rng(83)
+    ds = random_dataset(rng, n=300, m=40, density=0.2, scale=100.0)
+    with Helper() as helper:
+        split = RegularizedNormalOperator(ds, 0.4, matrix_forms(ds, False, helper))
+        op = RegularizedNormalOperator(ds, 0.4)
+        for rho in (0.4, 1e30):
+            split, op = split.with_rho(rho), op.with_rho(rho)
+            for _ in range(3):
+                v = rng.normal(size=op.dim)
+                assert split.apply(v).tobytes() == op.apply(v).tobytes()
 
 
 def test_operator_is_symmetric_and_positive_definite():

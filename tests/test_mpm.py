@@ -4,6 +4,10 @@ import io
 import json
 import logging
 import math
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
@@ -12,10 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scsvm.linsys as linsys_module
 import scsvm.mpm as mpm_module
 from scsvm.data import SparseDataset, parse_svmlight
 from scsvm.evaluate import predicted_labels
-from scsvm.linsys import CgConfig, RegularizedNormalOperator, cg_solve, dense_solve
+from scsvm.linsys import CgConfig, RegularizedNormalOperator, SplitCsr, cg_solve, dense_solve
 from scsvm.mpm import (
     IterationRecord,
     ModelTheta,
@@ -332,18 +337,24 @@ def test_objective_descent_cg_path():
         # 2% dense: the CSR arrays take less memory than an ndarray would
         pytest.param(0.02, 100, "csr", "dense", id="sparse-narrow"),
         pytest.param(1.0, 100, "ndarray", "dense", id="dense-narrow"),
-        # the CG path keeps the CSR forms whatever the density
+        # below the split floor, or on one CPU, the CG path keeps the CSR
+        # forms whatever the density
         pytest.param(1.0, 10, "csr", "cg", id="dense-wide"),
+        # at or above it, on two CPUs, it splits its products
+        pytest.param(1.0, 10, "split", "cg", id="dense-wide-split"),
     ],
 )
 def test_training_form_follows_the_solve_path_and_memory_rule(
     monkeypatch, density, dense_threshold, form, solve_path
 ):
     ds = noisy_linear_dataset(np.random.default_rng(59), n=5000, m=50, density=density)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    floor = ds.nnz if form == "split" else ds.nnz + 1
+    monkeypatch.setattr(mpm_module, "_SPLIT_MIN_NNZ", floor)
     chosen = []
 
-    def spy(ds, dense):
-        chosen.append(matrix_forms(ds, dense))
+    def spy(ds, dense, helper=None):
+        chosen.append(matrix_forms(ds, dense, helper))
         return chosen[-1]
 
     monkeypatch.setattr(mpm_module, "matrix_forms", spy)
@@ -352,6 +363,9 @@ def test_training_form_follows_the_solve_path_and_memory_rule(
     ((a, at),) = chosen
     if form == "csr":
         assert a is ds.matrix() and at is ds.matrix_t()
+    elif form == "split":
+        assert isinstance(a, SplitCsr) and isinstance(at, SplitCsr)
+        assert (a.shape, at.shape) == ((ds.n, ds.m), (ds.m, ds.n))
     else:
         assert isinstance(a, np.ndarray) and a.flags.c_contiguous
         assert at.base is a and at.shape == (ds.m, ds.n)
@@ -462,6 +476,122 @@ def test_replay_waits_for_rho_to_saturate(monkeypatch):
     np.testing.assert_allclose(objective[202:], mpm_module.RHO_CAP * penalty, rtol=1e-15)
 
 
+def split_on_two_cpus(monkeypatch, floor: int) -> list:
+    """Make the process report two usable CPUs and the CG path split its
+    products from `floor` stored entries on; the returned list gains the name
+    of each thread started."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(mpm_module, "_SPLIT_MIN_NNZ", floor)
+    real_start = threading.Thread.start
+    started = []
+
+    def counted_start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    return started
+
+
+def helpers_alive() -> list:
+    return [t for t in threading.enumerate() if t.name == "scsvm-helper"]
+
+
+def without_wall_time(report) -> dict:
+    out = report.as_dict()
+    del out["wall_time_s"]
+    return out
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"rho_growth": 10.0}, {"cg_warm_start": True}],
+    ids=["default", "rho-growth", "warm-start"],
+)
+def test_split_products_train_the_same_bits(monkeypatch, overrides):
+    ds = noisy_linear_dataset(np.random.default_rng(89), n=600, m=120, flip=0.1, density=0.1)
+    cfg = MpmConfig(sr=0.1, max_outer=40, **overrides)
+    assert ds.nnz < mpm_module._SPLIT_MIN_NNZ
+    serial_model, serial = mpm_train(ds, cfg)
+    started = split_on_two_cpus(monkeypatch, floor=ds.nnz)
+    model, report = mpm_train(ds, cfg)
+    assert started == ["scsvm-helper"]
+    assert report.solve_path == "cg" and report.total_cg > 0
+    assert model.omega.tobytes() == serial_model.omega.tobytes()
+    assert np.float64(model.b).tobytes() == np.float64(serial_model.b).tobytes()
+    assert without_wall_time(report) == without_wall_time(serial)
+    assert not helpers_alive()
+
+
+def test_concurrent_split_trainings_switching_often(monkeypatch):
+    # four trainings at once, each with its own helper: six threads on at
+    # most two cores, handing over calls at every chance to switch
+    ds = noisy_linear_dataset(np.random.default_rng(107), n=300, m=120, flip=0.1, density=0.1)
+    cfg = MpmConfig(sr=0.1, max_outer=15)
+    want_model, want = mpm_train(ds, cfg)
+    split_on_two_cpus(monkeypatch, floor=0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(lambda _: mpm_train(ds, cfg), range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+    for model, report in results:
+        assert model.omega.tobytes() == want_model.omega.tobytes()
+        assert without_wall_time(report) == without_wall_time(want)
+    assert not helpers_alive()
+
+
+def test_split_helper_is_joined_when_training_raises(monkeypatch):
+    ds = noisy_linear_dataset(np.random.default_rng(97), n=200, m=120, flip=0.1, density=0.1)
+    started = split_on_two_cpus(monkeypatch, floor=0)
+    real_solve = mpm_module.cg_solve
+    solves = []
+
+    def failing_third_solve(*args, **kwargs):
+        solves.append(None)
+        if len(solves) == 3:
+            raise np.linalg.LinAlgError("third solve failed")
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(mpm_module, "cg_solve", failing_third_solve)
+    with pytest.raises(np.linalg.LinAlgError, match="third solve failed"):
+        mpm_train(ds, MpmConfig(sr=0.1))
+    assert started == ["scsvm-helper"]
+    assert not helpers_alive()
+
+
+def test_an_error_in_the_helpers_half_reaches_the_caller(monkeypatch):
+    ds = noisy_linear_dataset(np.random.default_rng(101), n=200, m=120, flip=0.1, density=0.1)
+    split_on_two_cpus(monkeypatch, floor=0)
+    real_kernel = linsys_module._csr_matvec
+    halves = []
+
+    def kernel(*args):
+        on_helper = threading.current_thread().name == "scsvm-helper"
+        halves.append(on_helper)
+        if on_helper and halves.count(True) == 5:
+            raise MemoryError("the helper's half failed")
+        return real_kernel(*args)
+
+    monkeypatch.setattr(linsys_module, "_csr_matvec", kernel)
+    with pytest.raises(MemoryError, match="the helper's half failed"):
+        mpm_train(ds, MpmConfig(sr=0.1))
+    # the calling thread did its half of the failed product and no more
+    assert halves.count(False) == 5
+    assert not helpers_alive()
+
+
+def test_one_cpu_trains_without_a_thread(monkeypatch):
+    ds = noisy_linear_dataset(np.random.default_rng(103), n=200, m=120, flip=0.1, density=0.1)
+    split_on_two_cpus(monkeypatch, floor=0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a thread started"))
+    _, report = mpm_train(ds, MpmConfig(sr=0.1, max_outer=5))
+    assert report.solve_path == "cg" and report.total_cg > 0
+
+
 def count_layer_calls(monkeypatch) -> dict:
     """Wrap the entry points perfbench's tracer times, under the names the
     trainer calls them by: mpm's project_omega_s, dense_solve and cg_solve,
@@ -483,7 +613,7 @@ def count_layer_calls(monkeypatch) -> dict:
     return calls
 
 
-@pytest.mark.parametrize("case", ["dense", "cg", "replayed"])
+@pytest.mark.parametrize("case", ["dense", "cg", "cg-split", "replayed"])
 def test_loop_calls_each_traced_layer_through_its_name(monkeypatch, case):
     """perfbench's per-layer metrics wrap exactly these names; a loop that
     inlined one of them would leave its metric reading zero."""
@@ -491,13 +621,15 @@ def test_loop_calls_each_traced_layer_through_its_name(monkeypatch, case):
         ds, cfg = parse_svmlight(DATA / "dense_mid"), MpmConfig(sr=0.01)
     else:
         ds = noisy_linear_dataset(np.random.default_rng(43), n=40, m=8, flip=0.1)
-        cfg = MpmConfig(sr=0.5, dense_threshold=1 if case == "cg" else 100)
+        cfg = MpmConfig(sr=0.5, dense_threshold=1 if case.startswith("cg") else 100)
+    if case == "cg-split":
+        split_on_two_cpus(monkeypatch, floor=0)
     calls = count_layer_calls(monkeypatch)
     _, report = mpm_train(ds, cfg)
     assert (report.repeat_k is not None) == (case == "replayed")
     solves = report.repeat_k or report.outer_iters
     assert solves > 1
-    if case == "cg":
+    if case.startswith("cg"):
         assert (calls["cg_solve"], calls["dense_solve"]) == (solves, 0)
         # one apply per CG step from a zero start
         assert calls["apply"] == report.total_cg > 0
