@@ -235,19 +235,6 @@ def test_split_products_are_the_sparse_products_to_the_bit(case):
             a @ np.ones(ds.m + 1)
 
 
-def test_split_operator_applies_the_same_bits():
-    rng = np.random.default_rng(83)
-    ds = random_dataset(rng, n=300, m=40, density=0.2, scale=100.0)
-    with Helper() as helper:
-        split = RegularizedNormalOperator(ds, 0.4, matrix_forms(ds, False, helper))
-        op = RegularizedNormalOperator(ds, 0.4)
-        for rho in (0.4, 1e30):
-            split, op = split.with_rho(rho), op.with_rho(rho)
-            for _ in range(3):
-                v = rng.normal(size=op.dim)
-                assert split.apply(v).tobytes() == op.apply(v).tobytes()
-
-
 def test_operator_is_symmetric_and_positive_definite():
     rng = np.random.default_rng(3)
     ds = random_dataset(rng, n=25, m=12)

@@ -524,7 +524,7 @@ def test_split_products_train_the_same_bits(monkeypatch, overrides):
 
 
 def test_concurrent_split_trainings_switching_often(monkeypatch):
-    # four trainings at once, each with its own helper: six threads on at
+    # four trainings at once, each with its own helper: eight threads on at
     # most two cores, handing over calls at every chance to switch
     ds = noisy_linear_dataset(np.random.default_rng(107), n=300, m=120, flip=0.1, density=0.1)
     cfg = MpmConfig(sr=0.1, max_outer=15)
