@@ -5,12 +5,12 @@ increasing feature indices; in memory everything is 0-based CSR. Labels are
 kept exactly as written until an explicit remap produces the {-1, +1} form
 that training requires.
 
-The parser reads about 1 MB of whole lines at a time and scans them as one
+The parser reads about 512 KB of whole lines at a time and scans them as one
 byte string: the lines are joined and encoded once, and their bounds come
 from their lengths, so a line ends where the stream's readlines ended it.
-Where the process may run on two CPUs, a stream of more than one batch is
-read in batches of half that size by two threads, each parsing the batch it
-read, and the parsed batches are kept in file order.
+A stream of more than one batch asks scsvm.threads for a helper thread; given
+one, the two threads each parse the batch they read, and the parsed batches
+are kept in file order.
 Tokens are separated by the ASCII bytes str.split() splits on (space, tab,
 line feed, vertical tab, form feed, carriage return and 0x1c to 0x1f); a
 batch with a character outside ASCII is left to _parse_lines. One pass finds
@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .threads import usable_cpus
+from . import threads
 
 __all__ = [
     "DatasetStats",
@@ -63,11 +63,9 @@ __all__ = [
 # sharing a dataset (run_benchmark with jobs > 1) may request together
 _FORMS_LOCK = threading.Lock()
 
-# the parser reads whole lines in batches of about this many characters in all:
-# with several threads, each reads and parses an equal share of it
+# the parser reads whole lines in batches of about half this many characters,
+# so that the two threads that may parse a stream hold about this many
 _BATCH_CHARS = 1 << 20
-# at most this many threads parse one file's batches
-_PARSE_THREADS = 2
 _MAX_INDEX = int(np.iinfo(np.int64).max)
 # np.fromstring reads integers of up to this many digits exactly (10**18 < 2**63);
 # longer ones can saturate at the int64 maximum
@@ -537,19 +535,19 @@ def _concat(parts, name: str, n_features) -> SparseDataset:
 
 
 def _parse_stream(stream, name: str, n_features) -> SparseDataset:
-    threads = min(usable_cpus(), _PARSE_THREADS)
-    # the threads share one batch's worth of text
-    reads = iter(partial(stream.readlines, max(1, _BATCH_CHARS // threads)), [])
+    # a helper thread, where one is given, reads and parses every other batch,
+    # so the text in flight stays at _BATCH_CHARS
+    reads = iter(partial(stream.readlines, max(1, _BATCH_CHARS // 2)), [])
     # a stream of one batch is parsed on this thread alone
     head = list(islice(reads, 2))
-    threads = threads if len(head) > 1 else 1
+    helper = threads.helper() if len(head) > 1 else None
     # the first batches are popped as they are taken, so their text goes with them
     batches = chain((head.pop(0) for _ in range(len(head))), reads)
-    return _concat(_parse_in_threads(batches, threads, name, n_features), name, n_features)
+    return _concat(_parse_batches(batches, helper, name, n_features), name, n_features)
 
 
-def _parse_in_threads(batches, threads: int, name: str, n_features) -> list:
-    """The parts of the batches, parsed on this thread and threads - 1 helpers.
+def _parse_batches(batches, helper, name: str, n_features) -> list:
+    """The parts of the batches, parsed on this thread and the helper, if any.
 
     Each thread reads the next batch under a lock and parses it, and this one
     keeps the parsed batches in file order, so that the parts, the fallback to
@@ -603,18 +601,18 @@ def _parse_in_threads(batches, threads: int, name: str, n_features) -> list:
         while parse_next():
             pass
 
-    started = []
-    try:
-        for _ in range(threads - 1):
-            thread = threading.Thread(target=help_parse, name="svmlight-parse")
-            thread.start()
-            started.append(thread)
+    if helper is None:
         while parse_next():
             keep_ready()
-    finally:
-        stop = True
-        for thread in started:
-            thread.join()
+    else:
+        with helper:
+            helper.start(help_parse, ())
+            try:
+                while parse_next():
+                    keep_ready()
+            finally:
+                stop = True
+                helper.wait()
     keep_ready()
     return parts
 

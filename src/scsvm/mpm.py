@@ -11,10 +11,10 @@ one strongly convex quadratic solve:
 
 solved densely for narrow data and by matrix-free CG otherwise. The solve
 path, and the form of A that the loop's products use, are chosen once per
-training call (see matrix_forms). On the CG path, with two or more usable
-CPUs and at least _SPLIT_MIN_NNZ stored entries, every product with A and A^T
-is computed in two row halves, one on a helper thread that the call starts
-and joins, with the same bits as on one thread.
+training call (see matrix_forms). On the CG path, with at least
+_SPLIT_MIN_NNZ stored entries and a helper thread from scsvm.threads.helper,
+every product with A and A^T is computed in two row halves, one on the
+helper, with the same bits as on one thread.
 
 Stopping follows two progress measures. f_prog is used signed, exactly as
 defined: a negative value (f increased) passes its threshold trivially, so
@@ -38,11 +38,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import threads
 from .blas import one_thread
 from .data import SparseDataset, text_file
 from .linsys import CgConfig, RegularizedNormalOperator, SplitCsr, cg_solve, dense_solve
 from .projection import g_value, project_omega_s
-from .threads import Helper, usable_cpus
 
 __all__ = [
     "IterationRecord",
@@ -323,7 +323,7 @@ def p_prog(theta_vec: np.ndarray, p_k: float) -> float:
     return 2.0 * p_k / norm_sq
 
 
-def matrix_forms(ds: SparseDataset, dense: bool, helper: Helper | None = None):
+def matrix_forms(ds: SparseDataset, dense: bool, helper: threads.Helper | None = None):
     """(A, A^T) in the form the training loop multiplies.
 
     With a dense solve, A becomes a C-contiguous ndarray with A^T as its
@@ -349,25 +349,25 @@ def mpm_train(ds: SparseDataset, cfg: MpmConfig) -> tuple[ModelTheta, TrainRepor
     Returns the final model and the full per-iteration report. Hitting
     max_outer reports termination="max_outer" instead of raising. BLAS runs
     on one thread meanwhile (see scsvm.blas), so the model does not depend on
-    the BLAS thread count. A large enough CG problem on two or more usable
-    CPUs computes its sparse products on this thread and one helper thread,
-    which is joined before the call returns or raises; the model, the counts
-    and the history are the same bits as on one thread.
+    the BLAS thread count. A large enough CG problem given a helper thread
+    (scsvm.threads.helper) computes its sparse products on this thread and
+    the helper, which is joined before the call returns or raises; the model,
+    the counts and the history are the same bits as on one thread.
     """
     if ds.n == 0:
         raise ValueError("cannot train on an empty dataset (n = 0)")
     ds.assert_signed()
     use_dense = ds.m < cfg.dense_threshold
-    if use_dense or ds.nnz < _SPLIT_MIN_NNZ or usable_cpus() < 2:
+    helper = None if use_dense or ds.nnz < _SPLIT_MIN_NNZ else threads.helper()
+    if helper is None:
         return _train(ds, cfg, use_dense, matrix_forms(ds, use_dense))
-    helper = Helper()
-    # Building the forms (the copy of A^T takes a few ms) before the thread
-    # starts gives a parse thread joined just before this call the time to
-    # exit and free its glibc arena for the helper; otherwise the helper gets
-    # a new arena, and the next parse leaves about 8 MB resident in each.
-    forms = matrix_forms(ds, use_dense, helper)
     with helper:
-        return _train(ds, cfg, use_dense, forms)
+        # Building the forms (the copy of A^T takes a few ms) before the
+        # thread starts, at the first product, gives a parse thread joined
+        # just before this call the time to exit and free its glibc arena for
+        # the helper; otherwise the helper gets a new arena, and the next
+        # parse leaves about 8 MB resident in each.
+        return _train(ds, cfg, use_dense, matrix_forms(ds, use_dense, helper))
 
 
 def _train(ds: SparseDataset, cfg: MpmConfig, use_dense: bool, forms):

@@ -9,6 +9,8 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from decimal import Context, Decimal
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from scsvm import data as scsvm_data
+from scsvm import threads as scsvm_threads
 from scsvm.data import (
     DatasetStats,
     LabelMap,
@@ -27,7 +30,6 @@ from scsvm.data import (
     serialize_svmlight,
     split,
 )
-from scsvm.threads import usable_cpus
 
 from _util import bytes_kept_per_object
 
@@ -37,6 +39,12 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 
 def parse_text(text, **kw):
     return parse_svmlight(io.StringIO(text), **kw)
+
+
+def parse_on(monkeypatch, threads: int) -> None:
+    """Make the process report `threads` usable CPUs, so that a parse of more
+    than one batch runs on that many threads (at most two)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(threads)))
 
 
 def same_content(a: SparseDataset, b: SparseDataset) -> bool:
@@ -120,7 +128,7 @@ def test_parse_error_in_a_late_batch_names_the_file_line(tmp_path, monkeypatch):
     path = tmp_path / "late.svm"
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
     for threads in (1, 2):
-        monkeypatch.setattr(scsvm_data, "_PARSE_THREADS", threads)
+        parse_on(monkeypatch, threads)
         with pytest.raises(ValueError, match="late.svm, line 5001: expected index:value, got 'x:3'"):
             parse_svmlight(path)
 
@@ -150,7 +158,6 @@ def recording_batches(monkeypatch, delay_after=None):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_parse_threads_follow_the_cpus_the_process_may_run_on(monkeypatch, threads):
-    monkeypatch.setattr(scsvm_data, "_PARSE_THREADS", threads)
     monkeypatch.setattr(scsvm_data, "_BATCH_CHARS", 2_000)
     real_start = threading.Thread.start
     started = []
@@ -161,16 +168,22 @@ def test_parse_threads_follow_the_cpus_the_process_may_run_on(monkeypatch, threa
 
     monkeypatch.setattr(threading.Thread, "start", counted_start)
     text = "".join(numbered_lines(500))
-    for cpus, want in [({0}, 1), ({0, 1}, threads), (set(range(8)), threads)]:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-        assert usable_cpus() == len(cpus)
+    # (usable CPUs, helpers other calls hold): a parse takes a helper while
+    # fewer than usable CPUs - 1 are out, and never more than one
+    cases = [(1, 0), (2, 1)] if threads == 1 else [(2, 0), (8, 0), (8, 6)]
+    for cpus, held in cases:
+        parse_on(monkeypatch, cpus)
+        assert scsvm_threads.usable_cpus() == cpus
         started.clear()
-        assert parse_text(text).n == 500
-        assert started == ["svmlight-parse"] * (want - 1)
+        with ExitStack() as stack:
+            for _ in range(held):
+                stack.enter_context(scsvm_threads.helper())
+            assert parse_text(text).n == 500
+        assert started == ["scsvm-helper"] * (threads - 1)
 
 
 def test_parse_of_one_batch_starts_no_thread(monkeypatch):
-    monkeypatch.setattr(scsvm_data, "_PARSE_THREADS", 2)
+    parse_on(monkeypatch, 2)
     calls = recording_batches(monkeypatch)
     monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a thread started"))
     text = "".join(numbered_lines(300))
@@ -181,7 +194,7 @@ def test_parse_of_one_batch_starts_no_thread(monkeypatch):
 
 def test_parse_error_while_a_later_batch_is_in_flight(tmp_path, monkeypatch):
     monkeypatch.setattr(scsvm_data, "_BATCH_CHARS", 2_000)
-    monkeypatch.setattr(scsvm_data, "_PARSE_THREADS", 2)
+    parse_on(monkeypatch, 2)
     lines = numbered_lines(2_000)
     lines[1_500] = "-1 1:1501 x:3\n"
     path = tmp_path / "inflight.svm"
@@ -193,9 +206,8 @@ def test_parse_error_while_a_later_batch_is_in_flight(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="inflight.svm, line 1501: expected index:value, got 'x:3'"):
         parse_svmlight(path)
     assert threading.active_count() == before
-    if usable_cpus() > 1:
-        assert any(not on_main for _, on_main in calls)
-        assert any(first > 1_501 for first, _ in calls)
+    assert any(not on_main for _, on_main in calls)
+    assert any(first > 1_501 for first, _ in calls)
 
 
 class SignallingReads(io.TextIOWrapper):
@@ -215,8 +227,7 @@ class SignallingReads(io.TextIOWrapper):
 
 def test_parse_raises_a_bad_line_before_a_later_read_error(monkeypatch):
     monkeypatch.setattr(scsvm_data, "_BATCH_CHARS", 2_000)
-    monkeypatch.setattr(scsvm_data, "_PARSE_THREADS", 2)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parse_on(monkeypatch, 2)
     lines = numbered_lines(3_000)
     lines[9] = "-1 1:10 x:3\n"
     # a byte the ASCII stream cannot decode, some batches later
@@ -245,7 +256,7 @@ def test_parse_raises_a_bad_line_before_a_later_read_error(monkeypatch):
 
 def test_parse_helper_exception_stops_the_parse(monkeypatch):
     monkeypatch.setattr(scsvm_data, "_BATCH_CHARS", 2_000)
-    monkeypatch.setattr(scsvm_data, "_PARSE_THREADS", 2)
+    parse_on(monkeypatch, 2)
     real = scsvm_data._parse_batch
     on_main = []
 
@@ -259,14 +270,43 @@ def test_parse_helper_exception_stops_the_parse(monkeypatch):
     monkeypatch.setattr(scsvm_data, "_parse_batch", failing_off_the_main_thread)
     before = threading.active_count()
     text = "".join(numbered_lines(4_000))
-    if usable_cpus() > 1:
-        with pytest.raises(MemoryError, match="helper failed"):
-            parse_text(text)
-        # this thread takes no more batches once the helper has failed
-        assert len(on_main) < 30
-    else:
-        assert parse_text(text).n == 4_000
+    with pytest.raises(MemoryError, match="helper failed"):
+        parse_text(text)
+    # this thread takes no more batches once the helper has failed
+    assert len(on_main) < 30
     assert threading.active_count() == before
+
+
+def test_parse_helper_runs_off_the_callers_cpu(monkeypatch):
+    getcpu = scsvm_threads._sched_getcpu()
+    if getcpu is None or not hasattr(os, "sched_setaffinity"):
+        pytest.skip("the platform does not say which CPU a thread is on")
+    if scsvm_threads.usable_cpus() < 2:
+        pytest.skip("the process may run on one CPU only")
+    monkeypatch.setattr(scsvm_data, "_BATCH_CHARS", 2_000)
+    caller_cpus = []
+
+    def recording_getcpu():
+        caller_cpus.append(getcpu())
+        return caller_cpus[-1]
+
+    # the helper is pinned when it starts, off the CPU this returns then
+    monkeypatch.setattr(scsvm_threads, "_sched_getcpu", lambda: recording_getcpu)
+    real = scsvm_data._parse_batch
+    helper_cpus = []
+
+    def parse_batch(lines, n_features):
+        if threading.current_thread().name == "scsvm-helper":
+            helper_cpus.append(os.sched_getaffinity(0))
+        else:
+            time.sleep(0.01)  # leave batches for the helper to take
+        return real(lines, n_features)
+
+    monkeypatch.setattr(scsvm_data, "_parse_batch", parse_batch)
+    assert parse_text("".join(numbered_lines(2_000))).n == 2_000
+    (cpu,) = caller_cpus
+    assert helper_cpus
+    assert all(cpu not in cpus for cpus in helper_cpus), (cpu, helper_cpus)
 
 
 def test_parse_on_more_threads_than_cores_switching_often(monkeypatch):
@@ -274,28 +314,43 @@ def test_parse_on_more_threads_than_cores_switching_often(monkeypatch):
     text = "".join(lines)
     lines[5_900] = "-1 1:5901 2:x\n"
     bad = "".join(lines)
-    monkeypatch.setattr(scsvm_data, "_PARSE_THREADS", 1)
+    parse_on(monkeypatch, 1)
     want = parse_text(text)
     monkeypatch.setattr(scsvm_data, "_BATCH_CHARS", 4_000)
-    monkeypatch.setattr(scsvm_data, "_PARSE_THREADS", 8)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    before = threading.active_count()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
+    # four parses at once, each with a helper of its own: eight threads on
+    # fewer cores, handing over batches at every chance to switch
+    parse_on(monkeypatch, 8)
+    real_start = threading.Thread.start
+    started = []
+
+    def counted_start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+
+    def parse_both(_):
         for _ in range(5):
             assert same_content(parse_text(text), want)
             with pytest.raises(ValueError, match="line 5901: expected index:value, got '2:x'"):
                 parse_text(bad)
+
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(parse_both, range(4)))
     finally:
         sys.setswitchinterval(interval)
+    assert started.count("scsvm-helper") == 40
     assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_parse_reads_an_open_file_object(tmp_path, monkeypatch, threads):
     monkeypatch.setattr(scsvm_data, "_BATCH_CHARS", 2_000)
-    monkeypatch.setattr(scsvm_data, "_PARSE_THREADS", threads)
+    parse_on(monkeypatch, threads)
     path = tmp_path / "open.svm"
     path.write_text("".join(numbered_lines(3_000)), encoding="ascii")
     calls = recording_batches(monkeypatch)
@@ -736,7 +791,7 @@ def test_batched_parse_matches_line_by_line(monkeypatch, text, n_features, batch
     monkeypatch.setattr(scsvm_data, "_BATCH_CHARS", batch_chars)
     want = parse_or_message(lambda: line_by_line(text, n_features))
     for threads in (1, 2):
-        monkeypatch.setattr(scsvm_data, "_PARSE_THREADS", threads)
+        parse_on(monkeypatch, threads)
         got = parse_or_message(lambda: parse_text(text, n_features=n_features))
         if isinstance(want, str):
             assert got == want, threads

@@ -524,8 +524,9 @@ def test_split_products_train_the_same_bits(monkeypatch, overrides):
 
 
 def test_concurrent_split_trainings_switching_often(monkeypatch):
-    # four trainings at once, each with its own helper: eight threads on at
-    # most two cores, handing over calls at every chance to switch
+    # four trainings at once on two CPUs: the one holding the helper splits
+    # its products, the others run alone, and the helper passes between
+    # them, handing over calls at every chance to switch
     ds = noisy_linear_dataset(np.random.default_rng(107), n=300, m=120, flip=0.1, density=0.1)
     cfg = MpmConfig(sr=0.1, max_outer=15)
     want_model, want = mpm_train(ds, cfg)
@@ -539,6 +540,35 @@ def test_concurrent_split_trainings_switching_often(monkeypatch):
         sys.setswitchinterval(interval)
     for model, report in results:
         assert model.omega.tobytes() == want_model.omega.tobytes()
+        assert without_wall_time(report) == without_wall_time(want)
+    assert not helpers_alive()
+
+
+def test_concurrent_trainings_on_two_cpus_share_one_helper(monkeypatch):
+    ds = noisy_linear_dataset(np.random.default_rng(109), n=300, m=120, flip=0.1, density=0.1)
+    cfg = MpmConfig(sr=0.1, max_outer=15)
+    want_model, want = mpm_train(ds, cfg)
+    split_on_two_cpus(monkeypatch, floor=0)
+    real_kernel = linsys_module._csr_matvec
+    alive = []
+
+    def kernel(*args):
+        alive.append(len(helpers_alive()))
+        return real_kernel(*args)
+
+    monkeypatch.setattr(linsys_module, "_csr_matvec", kernel)
+    together = threading.Barrier(2)
+
+    def train(_):
+        together.wait()
+        return mpm_train(ds, cfg)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(train, range(2)))
+    assert max(alive) == 1
+    for model, report in results:
+        assert model.omega.tobytes() == want_model.omega.tobytes()
+        assert np.float64(model.b).tobytes() == np.float64(want_model.b).tobytes()
         assert without_wall_time(report) == without_wall_time(want)
     assert not helpers_alive()
 
