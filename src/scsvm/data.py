@@ -535,8 +535,6 @@ def _concat(parts, name: str, n_features) -> SparseDataset:
 
 
 def _parse_stream(stream, name: str, n_features) -> SparseDataset:
-    # a helper thread, where one is given, reads and parses every other batch,
-    # so the text in flight stays at _BATCH_CHARS
     reads = iter(partial(stream.readlines, max(1, _BATCH_CHARS // 2)), [])
     # a stream of one batch is parsed on this thread alone
     head = list(islice(reads, 2))

@@ -557,7 +557,7 @@ def test_concurrent_trainings_on_two_cpus_share_one_helper(monkeypatch):
         return real_kernel(*args)
 
     monkeypatch.setattr(linsys_module, "_csr_matvec", kernel)
-    together = threading.Barrier(2)
+    together = threading.Barrier(2, timeout=30)
 
     def train(_):
         together.wait()
