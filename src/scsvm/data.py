@@ -9,8 +9,9 @@ The parser reads about 512 KB of whole lines at a time and scans them as one
 byte string: the lines are joined and encoded once, and their bounds come
 from their lengths, so a line ends where the stream's readlines ended it.
 A stream of more than one batch asks scsvm.threads for a helper thread; given
-one, the two threads each parse the batch they read, and the parsed batches
-are kept in file order.
+one, the two threads each parse the batch they read, falling back to
+_parse_lines themselves, and the parsed batches are taken in file order once
+both are done; an error stops the reads at once.
 Tokens are separated by the ASCII bytes str.split() splits on (space, tab,
 line feed, vertical tab, form feed, carriage return and 0x1c to 0x1f); a
 batch with a character outside ASCII is left to _parse_lines. One pass finds
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import re
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import chain, count, islice
@@ -547,71 +548,61 @@ def _parse_stream(stream, name: str, n_features) -> SparseDataset:
 def _parse_batches(batches, helper, name: str, n_features) -> list:
     """The parts of the batches, parsed on this thread and the helper, if any.
 
-    Each thread reads the next batch under a lock and parses it, and this one
-    keeps the parsed batches in file order, so that the parts, the fallback to
-    _parse_lines and the error raised are those of a serial parse.
+    Each thread reads the next batch under a lock, with the number of its
+    first line, and parses it, falling back to _parse_lines itself. The parts
+    are taken in file order once both threads are done, so that they and the
+    error raised are those of a serial parse.
     """
     numbers = count()
     lock = threading.Lock()
     stop = False
-    # batch number -> (its line count, its part or None, its lines if None),
-    # or the error that reading or parsing it raised
-    done = {}
-    parts = []
     lineno = 1
+    # batch number -> its part, or the error that reading or parsing it raised
+    done = {}
 
     def parse_next() -> bool:
         """Read and parse the next batch; False once there is none to take.
 
         An error is kept as the outcome of the batch it came from, and stops
         the reads."""
-        nonlocal stop
+        nonlocal lineno, stop
         try:
             with lock:
                 if stop:
                     return False
                 k = next(numbers)
                 lines = next(batches, None)
-            if lines is None:
-                return False
+                if lines is None:
+                    return False
+                first = lineno
+                lineno += len(lines)
             part = _parse_batch(lines, n_features)
-            done[k] = (len(lines), part, lines if part is None else None)
+            if part is None:
+                part = _parse_lines(lines, name, n_features, first)
+            done[k] = part
         except BaseException as exc:  # raised again in file order
             done[k] = exc
             stop = True
             return False
         return True
 
-    def keep_ready():
-        """Keep the parsed batches that come next in file order."""
-        nonlocal lineno
-        while len(parts) in done:
-            outcome = done.pop(len(parts))
-            if isinstance(outcome, BaseException):
-                raise outcome
-            line_count, part, lines = outcome
-            if part is None:
-                part = _parse_lines(lines, name, n_features, lineno)
-            parts.append(part)
-            lineno += line_count
-
-    def help_parse():
+    def parse_all():
         while parse_next():
             pass
 
-    if helper is None:
-        while parse_next():
-            keep_ready()
-    else:
-        with helper:
-            helper.start(help_parse, ())
-            try:
-                while parse_next():
-                    keep_ready()
-            finally:
-                stop = True
+    with helper or nullcontext():
+        if helper is not None:
+            helper.start(parse_all, ())
+        try:
+            parse_all()
+        finally:
+            stop = True
+            if helper is not None:
                 helper.wait()
-    keep_ready()
+    parts = [done[k] for k in sorted(done)]
+    for outcome in parts:
+        if isinstance(outcome, BaseException):
+            raise outcome
     return parts
 
 

@@ -34,6 +34,7 @@ import logging
 import math
 import time
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -120,6 +121,7 @@ class ModelTheta:
             if m < 0:
                 raise ValueError(f"{name}: malformed model header")
             omega = np.zeros(m)
+            seen = set()
             for lineno, line in enumerate(fh, start=2):
                 tokens = line.split()
                 if not tokens:
@@ -133,6 +135,9 @@ class ModelTheta:
                     raise ValueError(f"{name}, line {lineno}: expected 'index value'") from None
                 if not 0 <= idx < m:
                     raise ValueError(f"{name}, line {lineno}: index {idx} outside [0, {m})")
+                if idx in seen:
+                    raise ValueError(f"{name}, line {lineno}: index {idx} repeats")
+                seen.add(idx)
                 omega[idx] = val
         return cls(omega, b)
 
@@ -359,9 +364,7 @@ def mpm_train(ds: SparseDataset, cfg: MpmConfig) -> tuple[ModelTheta, TrainRepor
     ds.assert_signed()
     use_dense = ds.m < cfg.dense_threshold
     helper = None if use_dense or ds.nnz < _SPLIT_MIN_NNZ else threads.helper()
-    if helper is None:
-        return _train(ds, cfg, use_dense, matrix_forms(ds, use_dense))
-    with helper:
+    with helper or nullcontext():
         # Building the forms (the copy of A^T takes a few ms) before the
         # thread starts, at the first product, gives a parse thread joined
         # just before this call the time to exit and free its glibc arena for

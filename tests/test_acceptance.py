@@ -225,7 +225,9 @@ def test_bundled_grid_cells_are_pinned_and_match_the_csr_reference(bundled_grid_
     shows. Narrow data trains on an ndarray form of A whose BLAS products sum
     in another order than CSR; each model must stay within 1e-12 relative of
     a run on the CSR forms, which serve as the reference."""
-    monkeypatch.setattr(mpm_module, "matrix_forms", lambda ds, dense: (ds.matrix(), ds.matrix_t()))
+    monkeypatch.setattr(
+        mpm_module, "matrix_forms", lambda ds, dense, helper=None: (ds.matrix(), ds.matrix_t())
+    )
     datasets = {name: parse_svmlight(DATA / name) for name in BUNDLED}
     worst = 0.0
     for name, _, sr, model, report, _ in bundled_grid_reports:

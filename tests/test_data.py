@@ -138,17 +138,17 @@ def numbered_lines(count):
     return [f"+1 1:{i} 2:0.5\n" for i in range(1, count + 1)]
 
 
-def recording_batches(monkeypatch, delay_after=None):
+def recording_batches(monkeypatch, slow_line=None):
     """Wrap _parse_batch to record (first line number, parsed on the calling
-    thread) per batch of numbered_lines; batches that start after line
-    delay_after take 0.2 s longer."""
+    thread) per batch of numbered_lines; the batch that holds line slow_line
+    takes 0.2 s longer."""
     real = scsvm_data._parse_batch
     calls = []
 
     def parse_batch(lines, n_features):
         first = int(lines[0].split()[1].partition(":")[2])
         calls.append((first, threading.current_thread() is threading.main_thread()))
-        if delay_after is not None and first > delay_after:
+        if slow_line is not None and first <= slow_line < first + len(lines):
             time.sleep(0.2)
         return real(lines, n_features)
 
@@ -199,9 +199,9 @@ def test_parse_error_while_a_later_batch_is_in_flight(tmp_path, monkeypatch):
     lines[1_500] = "-1 1:1501 x:3\n"
     path = tmp_path / "inflight.svm"
     path.write_text("".join(lines), encoding="ascii")
-    # every batch after the bad one is slow, so one of them is still being
-    # parsed when the error is raised; the parse waits for it to end
-    calls = recording_batches(monkeypatch, delay_after=1_501)
+    # the bad line's batch is slow, so the other thread takes later batches
+    # while it is parsed; the parse waits for them to end
+    calls = recording_batches(monkeypatch, slow_line=1_501)
     before = threading.active_count()
     with pytest.raises(ValueError, match="inflight.svm, line 1501: expected index:value, got 'x:3'"):
         parse_svmlight(path)
@@ -775,7 +775,10 @@ def line_by_line(text, n_features):
     return ds
 
 
-@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+# no deadline: an example parses at two thread counts, and its time is the host's
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
 @given(
     svmlight_texts(),
     st.one_of(st.none(), st.integers(0, 16)),

@@ -862,6 +862,7 @@ def test_model_file_round_trip(tmp_path):
         ("2 0.5\nfoo 1.0\n", "index value"),
         ("2 0.5\n5 1.0\n", "outside"),
         ("2 0.5\n-1 1.0\n", "outside"),
+        ("2 0.5\n0 1.0\n0 2.0\n", "line 3: index 0 repeats"),
     ],
 )
 def test_model_load_rejects_malformed_input(text, pattern):
