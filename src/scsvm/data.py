@@ -599,11 +599,11 @@ def _parse_batches(batches, helper, name: str, n_features) -> list:
             stop = True
             if helper is not None:
                 helper.wait()
-    parts = [done[k] for k in sorted(done)]
-    for outcome in parts:
+    outcomes = [done[k] for k in sorted(done)]
+    for outcome in outcomes:
         if isinstance(outcome, BaseException):
             raise outcome
-    return parts
+    return outcomes
 
 
 def parse_svmlight(source, n_features: int | None = None) -> SparseDataset:
