@@ -8,8 +8,8 @@ that training requires.
 The parser reads about 512 KB of whole lines at a time and scans them as one
 byte string: the lines are joined and encoded once, and their bounds come
 from their lengths, so a line ends where the stream's readlines ended it.
-A stream of more than one batch asks scsvm.threads for a helper thread; given
-one, the two threads each parse the batch they read, falling back to
+A stream of more than one batch leases a helper thread from scsvm.threads;
+given one, the two threads each parse the batch they read, falling back to
 _parse_lines themselves, and the parsed batches are taken in file order once
 both are done; an error stops the reads at once.
 Tokens are separated by the ASCII bytes str.split() splits on (space, tab,
@@ -539,10 +539,11 @@ def _parse_stream(stream, name: str, n_features) -> SparseDataset:
     reads = iter(partial(stream.readlines, max(1, _BATCH_CHARS // 2)), [])
     # a stream of one batch is parsed on this thread alone
     head = list(islice(reads, 2))
-    helper = threads.helper() if len(head) > 1 else None
     # the first batches are popped as they are taken, so their text goes with them
     batches = chain((head.pop(0) for _ in range(len(head))), reads)
-    return _concat(_parse_batches(batches, helper, name, n_features), name, n_features)
+    with threads.helper() if len(head) > 1 else nullcontext() as helper:
+        parts = _parse_batches(batches, helper, name, n_features)
+    return _concat(parts, name, n_features)
 
 
 def _parse_batches(batches, helper, name: str, n_features) -> list:
@@ -590,15 +591,14 @@ def _parse_batches(batches, helper, name: str, n_features) -> list:
         while parse_next():
             pass
 
-    with helper or nullcontext():
+    if helper is not None:
+        helper.start(parse_all, ())
+    try:
+        parse_all()
+    finally:
+        stop = True
         if helper is not None:
-            helper.start(parse_all, ())
-        try:
-            parse_all()
-        finally:
-            stop = True
-            if helper is not None:
-                helper.wait()
+            helper.wait()
     outcomes = [done[k] for k in sorted(done)]
     for outcome in outcomes:
         if isinstance(outcome, BaseException):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 import scipy.linalg
@@ -41,6 +42,11 @@ __all__ = [
 _SCALE_ABOVE = 2.0**64
 
 
+def is_count(value, least: int) -> bool:
+    """Whether value is an integer (a numpy one too, a bool not) >= least."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= least
+
+
 @dataclass(frozen=True)
 class CgConfig:
     """Conjugate gradient controls: absolute residual tolerance and a cap."""
@@ -51,8 +57,8 @@ class CgConfig:
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not is_count(self.max_iter, 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ import numpy as np
 from . import threads
 from .blas import one_thread
 from .data import SparseDataset, text_file
-from .linsys import CgConfig, RegularizedNormalOperator, SplitCsr, cg_solve, dense_solve
+from .linsys import CgConfig, RegularizedNormalOperator, SplitCsr, cg_solve, dense_solve, is_count
 from .projection import g_value, project_omega_s
 
 __all__ = [
@@ -168,7 +168,7 @@ class MpmConfig:
     def __post_init__(self):
         if (self.s is None) == (self.sr is None):
             raise ValueError("exactly one of s and sr must be given")
-        if self.s is not None and (isinstance(self.s, bool) or self.s < 0):
+        if self.s is not None and not is_count(self.s, 0):
             raise ValueError(f"budget s must be a nonnegative integer, got {self.s}")
         if self.sr is not None and not 0.0 <= self.sr <= 1.0:
             raise ValueError(f"budget ratio sr must lie in [0, 1], got {self.sr}")
@@ -176,10 +176,10 @@ class MpmConfig:
             raise ValueError(f"rho must be positive, got {self.rho}")
         if not (self.f_tol_factor > 0.0 and self.p_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be >= 1")
-        if self.rho_growth < 1.0:
-            raise ValueError("rho_growth must be >= 1")
+        if not is_count(self.max_outer, 1):
+            raise ValueError(f"max_outer must be an integer >= 1, got {self.max_outer}")
+        if not self.rho_growth >= 1.0:
+            raise ValueError(f"rho_growth must be >= 1, got {self.rho_growth}")
 
     def resolve_budget(self, n: int) -> int:
         """Budget as an integer; sr maps through round-half-up."""
@@ -354,22 +354,17 @@ def mpm_train(ds: SparseDataset, cfg: MpmConfig) -> tuple[ModelTheta, TrainRepor
     Returns the final model and the full per-iteration report. Hitting
     max_outer reports termination="max_outer" instead of raising. BLAS runs
     on one thread meanwhile (see scsvm.blas), so the model does not depend on
-    the BLAS thread count. A large enough CG problem given a helper thread
-    (scsvm.threads.helper) computes its sparse products on this thread and
-    the helper, which is joined before the call returns or raises; the model,
-    the counts and the history are the same bits as on one thread.
+    the BLAS thread count. A large enough CG problem computes its sparse
+    products on this thread and on a helper thread leased for the call from
+    scsvm.threads.helper, if it gets one; the model, the counts and the
+    history are the same bits as on one thread.
     """
     if ds.n == 0:
         raise ValueError("cannot train on an empty dataset (n = 0)")
     ds.assert_signed()
     use_dense = ds.m < cfg.dense_threshold
-    helper = None if use_dense or ds.nnz < _SPLIT_MIN_NNZ else threads.helper()
-    with helper or nullcontext():
-        # Building the forms (the copy of A^T takes a few ms) before the
-        # thread starts, at the first product, gives a parse thread joined
-        # just before this call the time to exit and free its glibc arena for
-        # the helper; otherwise the helper gets a new arena, and the next
-        # parse leaves about 8 MB resident in each.
+    split = not use_dense and ds.nnz >= _SPLIT_MIN_NNZ
+    with threads.helper() if split else nullcontext() as helper:
         return _train(ds, cfg, use_dense, matrix_forms(ds, use_dense, helper))
 
 

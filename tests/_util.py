@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import gc
 import os
+import threading
 import tracemalloc
+from contextlib import ExitStack
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +14,7 @@ import scipy.sparse as sp
 
 import scsvm
 import scsvm.mpm as mpm_module
+from scsvm import threads
 from scsvm.data import SparseDataset
 
 
@@ -156,3 +159,33 @@ def bytes_kept_per_object(serialize, make, count=1_000) -> float:
         tracemalloc.stop()
         gc.enable()
     return sum(stat.size for stat in kept.statistics("filename")) / count
+
+
+def watch_helpers(monkeypatch) -> tuple[list, list]:
+    """(started, ran_on): from now on, the name of each thread started, and
+    the name of the thread each call handed to a helper ran on."""
+    started, ran_on = [], []
+    real_start, real_handover = threading.Thread.start, threads.Helper.start
+
+    def start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    def handover(helper, fn, args):
+        def run(*args):
+            ran_on.append(threading.current_thread().name)
+            return fn(*args)
+
+        real_handover(helper, run, args)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    monkeypatch.setattr(threads.Helper, "start", handover)
+    return started, ran_on
+
+
+def leases_come_back() -> bool:
+    """Whether usable_cpus() - 1 helpers can be leased at once, as they can
+    once every call that held one has given it back."""
+    with ExitStack() as stack:
+        leases = [stack.enter_context(threads.helper()) for _ in range(threads.usable_cpus() - 1)]
+        return all(lease is not None for lease in leases)

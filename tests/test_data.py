@@ -31,7 +31,7 @@ from scsvm.data import (
     split,
 )
 
-from _util import bytes_kept_per_object
+from _util import bytes_kept_per_object, leases_come_back, watch_helpers
 
 SIMPLE = "+1 1:0.5 3:1.25\n-1 2:2\n"
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -159,14 +159,7 @@ def recording_batches(monkeypatch, slow_line=None):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_parse_threads_follow_the_cpus_the_process_may_run_on(monkeypatch, threads):
     monkeypatch.setattr(scsvm_data, "_BATCH_CHARS", 2_000)
-    real_start = threading.Thread.start
-    started = []
-
-    def counted_start(thread):
-        started.append(thread.name)
-        real_start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    started, ran_on = watch_helpers(monkeypatch)
     text = "".join(numbered_lines(500))
     # (usable CPUs, helpers other calls hold): a parse takes a helper while
     # fewer than usable CPUs - 1 are out, and never more than one
@@ -175,11 +168,14 @@ def test_parse_threads_follow_the_cpus_the_process_may_run_on(monkeypatch, threa
         parse_on(monkeypatch, cpus)
         assert scsvm_threads.usable_cpus() == cpus
         started.clear()
+        ran_on.clear()
         with ExitStack() as stack:
             for _ in range(held):
                 stack.enter_context(scsvm_threads.helper())
             assert parse_text(text).n == 500
-        assert started == ["scsvm-helper"] * (threads - 1)
+        assert ran_on == ["scsvm-helper"] * (threads - 1)
+        assert started.count("scsvm-helper") <= cpus - 1
+        assert leases_come_back()
 
 
 def test_parse_of_one_batch_starts_no_thread(monkeypatch):
@@ -202,10 +198,9 @@ def test_parse_error_while_a_later_batch_is_in_flight(tmp_path, monkeypatch):
     # the bad line's batch is slow, so the other thread takes later batches
     # while it is parsed; the parse waits for them to end
     calls = recording_batches(monkeypatch, slow_line=1_501)
-    before = threading.active_count()
     with pytest.raises(ValueError, match="inflight.svm, line 1501: expected index:value, got 'x:3'"):
         parse_svmlight(path)
-    assert threading.active_count() == before
+    assert leases_come_back()
     assert any(not on_main for _, on_main in calls)
     assert any(first > 1_501 for first, _ in calls)
 
@@ -243,13 +238,12 @@ def test_parse_raises_a_bad_line_before_a_later_read_error(monkeypatch):
         return real(lines, n_features)
 
     monkeypatch.setattr(scsvm_data, "_parse_batch", parse_batch)
-    before = threading.active_count()
     # whichever thread takes the bad line's batch, its error is the one raised
     for _ in range(6):
         failed.clear()
         with pytest.raises(ValueError, match="<stream>, line 10: expected index:value, got 'x:3'"):
             parse_svmlight(SignallingReads(data, failed))
-    assert threading.active_count() == before
+    assert leases_come_back()
     with pytest.raises(UnicodeDecodeError):
         parse_svmlight(SignallingReads(data.replace(b"x:3", b"2:3"), failed))
 
@@ -268,13 +262,12 @@ def test_parse_helper_exception_stops_the_parse(monkeypatch):
         return real(lines, n_features)
 
     monkeypatch.setattr(scsvm_data, "_parse_batch", failing_off_the_main_thread)
-    before = threading.active_count()
     text = "".join(numbered_lines(4_000))
     with pytest.raises(MemoryError, match="helper failed"):
         parse_text(text)
     # this thread takes no more batches once the helper has failed
     assert len(on_main) < 30
-    assert threading.active_count() == before
+    assert leases_come_back()
 
 
 def test_parse_helper_runs_off_the_callers_cpu(monkeypatch):
@@ -320,14 +313,7 @@ def test_parse_on_more_threads_than_cores_switching_often(monkeypatch):
     # four parses at once, each with a helper of its own: eight threads on
     # fewer cores, handing over batches at every chance to switch
     parse_on(monkeypatch, 8)
-    real_start = threading.Thread.start
-    started = []
-
-    def counted_start(thread):
-        started.append(thread.name)
-        real_start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    started, ran_on = watch_helpers(monkeypatch)
 
     def parse_both(_):
         for _ in range(5):
@@ -335,7 +321,6 @@ def test_parse_on_more_threads_than_cores_switching_often(monkeypatch):
             with pytest.raises(ValueError, match="line 5901: expected index:value, got '2:x'"):
                 parse_text(bad)
 
-    before = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -343,8 +328,9 @@ def test_parse_on_more_threads_than_cores_switching_often(monkeypatch):
             list(pool.map(parse_both, range(4)))
     finally:
         sys.setswitchinterval(interval)
-    assert started.count("scsvm-helper") == 40
-    assert threading.active_count() == before
+    assert ran_on == ["scsvm-helper"] * 40
+    assert started.count("scsvm-helper") <= 7
+    assert leases_come_back()
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -6,6 +6,7 @@ cross-checks below materialize the (m+1)x(m+1) matrix independently.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -14,12 +15,19 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scsvm import threads
 from scsvm.data import SparseDataset, parse_svmlight
 from scsvm.linsys import CgConfig, RegularizedNormalOperator, SplitCsr, cg_solve, dense_solve
 from scsvm.mpm import RHO_CAP, MpmConfig, matrix_forms, mpm_train
-from scsvm.threads import Helper
 
-from _util import dense_dataset, narrow_cases, random_dataset, sparse_from_dense
+from _util import (
+    dense_dataset,
+    leases_come_back,
+    narrow_cases,
+    random_dataset,
+    sparse_from_dense,
+    watch_helpers,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 BUNDLED = ("separable_toy", "noisy_blobs", "dense_mid", "sparse_imbalanced", "tiny")
@@ -223,16 +231,22 @@ def test_split_products_are_the_sparse_products_to_the_bit(case):
     features, seed = case
     ds = sparse_from_dense(features, np.ones(features.shape[0]))
     rng = np.random.default_rng(seed)
-    with Helper() as helper:
-        a, at = matrix_forms(ds, False, helper)
-        assert isinstance(a, SplitCsr) and isinstance(at, SplitCsr)
-        for _ in range(2):
-            v = rng.normal(size=ds.m) * 10.0 ** rng.integers(-8, 8, size=ds.m)
-            q = rng.normal(size=ds.n) * 10.0 ** rng.integers(-8, 8, size=ds.n)
-            assert (a @ v).tobytes() == (ds.matrix() @ v).tobytes()
-            assert (at @ q).tobytes() == (ds.matrix_t() @ q).tobytes()
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            a @ np.ones(ds.m + 1)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        started, ran_on = watch_helpers(monkeypatch)
+        with threads.helper() as helper:
+            a, at = matrix_forms(ds, False, helper)
+            assert isinstance(a, SplitCsr) and isinstance(at, SplitCsr)
+            for _ in range(2):
+                v = rng.normal(size=ds.m) * 10.0 ** rng.integers(-8, 8, size=ds.m)
+                q = rng.normal(size=ds.n) * 10.0 ** rng.integers(-8, 8, size=ds.n)
+                assert (a @ v).tobytes() == (ds.matrix() @ v).tobytes()
+                assert (at @ q).tobytes() == (ds.matrix_t() @ q).tobytes()
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                a @ np.ones(ds.m + 1)
+        assert ran_on == ["scsvm-helper"] * 4
+        assert started.count("scsvm-helper") <= 1
+        assert leases_come_back()
 
 
 def test_operator_is_symmetric_and_positive_definite():
@@ -409,3 +423,6 @@ def test_config_validation():
         CgConfig(tol=0.0)
     with pytest.raises(ValueError):
         CgConfig(max_iter=0)
+    with pytest.raises(ValueError, match="max_iter must be an integer >= 1, got 2.5"):
+        CgConfig(max_iter=2.5)
+    assert CgConfig(max_iter=np.int64(7)).max_iter == 7

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import scsvm.linsys as linsys_module
 import scsvm.mpm as mpm_module
+from scsvm import threads
 from scsvm.data import SparseDataset, parse_svmlight
 from scsvm.evaluate import predicted_labels
 from scsvm.linsys import CgConfig, RegularizedNormalOperator, SplitCsr, cg_solve, dense_solve
@@ -43,9 +44,11 @@ from _util import (
     count_solves,
     dense_dataset,
     gaussian_blobs,
+    leases_come_back,
     narrow_cases,
     noisy_linear_dataset,
     random_dataset,
+    watch_helpers,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -86,6 +89,9 @@ def test_config_requires_exactly_one_budget_form():
         {"s": 0, "f_tol_factor": -1e-3},
         {"s": 0, "max_outer": 0},
         {"s": 0, "rho_growth": 0.5},
+        {"s": 2.5},
+        {"s": 0, "rho_growth": float("nan")},
+        {"s": 0, "max_outer": 2.5},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -101,6 +107,7 @@ def test_budget_resolution_rounds_half_up():
     assert MpmConfig(sr=0.0).resolve_budget(7) == 0
     assert MpmConfig(sr=1.0).resolve_budget(7) == 7
     assert MpmConfig(s=4).resolve_budget(9) == 4
+    assert MpmConfig(s=np.int64(4), max_outer=np.int32(3)).resolve_budget(9) == 4
 
 
 def test_budget_larger_than_dataset_is_rejected():
@@ -476,25 +483,20 @@ def test_replay_waits_for_rho_to_saturate(monkeypatch):
     np.testing.assert_allclose(objective[202:], mpm_module.RHO_CAP * penalty, rtol=1e-15)
 
 
-def split_on_two_cpus(monkeypatch, floor: int) -> list:
+def split_on_two_cpus(monkeypatch, floor: int) -> tuple[list, list]:
     """Make the process report two usable CPUs and the CG path split its
-    products from `floor` stored entries on; the returned list gains the name
-    of each thread started."""
+    products from `floor` stored entries on; the lists of watch_helpers."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(mpm_module, "_SPLIT_MIN_NNZ", floor)
-    real_start = threading.Thread.start
-    started = []
-
-    def counted_start(thread):
-        started.append(thread.name)
-        real_start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", counted_start)
-    return started
+    return watch_helpers(monkeypatch)
 
 
-def helpers_alive() -> list:
-    return [t for t in threading.enumerate() if t.name == "scsvm-helper"]
+def assert_one_helper_ran(started: list, ran_on: list) -> None:
+    """Helper calls ran, each on a helper thread, at most one helper thread
+    started and the lease came back."""
+    assert ran_on and set(ran_on) == {"scsvm-helper"}
+    assert started.count("scsvm-helper") <= 1
+    assert leases_come_back()
 
 
 def without_wall_time(report) -> dict:
@@ -513,14 +515,13 @@ def test_split_products_train_the_same_bits(monkeypatch, overrides):
     cfg = MpmConfig(sr=0.1, max_outer=40, **overrides)
     assert ds.nnz < mpm_module._SPLIT_MIN_NNZ
     serial_model, serial = mpm_train(ds, cfg)
-    started = split_on_two_cpus(monkeypatch, floor=ds.nnz)
+    started, ran_on = split_on_two_cpus(monkeypatch, floor=ds.nnz)
     model, report = mpm_train(ds, cfg)
-    assert started == ["scsvm-helper"]
+    assert_one_helper_ran(started, ran_on)
     assert report.solve_path == "cg" and report.total_cg > 0
     assert model.omega.tobytes() == serial_model.omega.tobytes()
     assert np.float64(model.b).tobytes() == np.float64(serial_model.b).tobytes()
     assert without_wall_time(report) == without_wall_time(serial)
-    assert not helpers_alive()
 
 
 def test_concurrent_split_trainings_switching_often(monkeypatch):
@@ -530,7 +531,7 @@ def test_concurrent_split_trainings_switching_often(monkeypatch):
     ds = noisy_linear_dataset(np.random.default_rng(107), n=300, m=120, flip=0.1, density=0.1)
     cfg = MpmConfig(sr=0.1, max_outer=15)
     want_model, want = mpm_train(ds, cfg)
-    split_on_two_cpus(monkeypatch, floor=0)
+    started, ran_on = split_on_two_cpus(monkeypatch, floor=0)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -541,19 +542,21 @@ def test_concurrent_split_trainings_switching_often(monkeypatch):
     for model, report in results:
         assert model.omega.tobytes() == want_model.omega.tobytes()
         assert without_wall_time(report) == without_wall_time(want)
-    assert not helpers_alive()
+    assert_one_helper_ran(started, ran_on)
 
 
 def test_concurrent_trainings_on_two_cpus_share_one_helper(monkeypatch):
     ds = noisy_linear_dataset(np.random.default_rng(109), n=300, m=120, flip=0.1, density=0.1)
     cfg = MpmConfig(sr=0.1, max_outer=15)
     want_model, want = mpm_train(ds, cfg)
-    split_on_two_cpus(monkeypatch, floor=0)
+    started, ran_on = split_on_two_cpus(monkeypatch, floor=0)
     real_kernel = linsys_module._csr_matvec
-    alive = []
+    second_leases = []
 
+    # only a split product calls the kernel, so a training holds the lease
     def kernel(*args):
-        alive.append(len(helpers_alive()))
+        with threads.helper() as second:
+            second_leases.append(second)
         return real_kernel(*args)
 
     monkeypatch.setattr(linsys_module, "_csr_matvec", kernel)
@@ -565,17 +568,17 @@ def test_concurrent_trainings_on_two_cpus_share_one_helper(monkeypatch):
 
     with ThreadPoolExecutor(max_workers=2) as pool:
         results = list(pool.map(train, range(2)))
-    assert max(alive) == 1
+    assert second_leases and set(second_leases) == {None}
     for model, report in results:
         assert model.omega.tobytes() == want_model.omega.tobytes()
         assert np.float64(model.b).tobytes() == np.float64(want_model.b).tobytes()
         assert without_wall_time(report) == without_wall_time(want)
-    assert not helpers_alive()
+    assert_one_helper_ran(started, ran_on)
 
 
-def test_split_helper_is_joined_when_training_raises(monkeypatch):
+def test_a_split_training_that_raises_gives_its_lease_back(monkeypatch):
     ds = noisy_linear_dataset(np.random.default_rng(97), n=200, m=120, flip=0.1, density=0.1)
-    started = split_on_two_cpus(monkeypatch, floor=0)
+    started, ran_on = split_on_two_cpus(monkeypatch, floor=0)
     real_solve = mpm_module.cg_solve
     solves = []
 
@@ -588,13 +591,12 @@ def test_split_helper_is_joined_when_training_raises(monkeypatch):
     monkeypatch.setattr(mpm_module, "cg_solve", failing_third_solve)
     with pytest.raises(np.linalg.LinAlgError, match="third solve failed"):
         mpm_train(ds, MpmConfig(sr=0.1))
-    assert started == ["scsvm-helper"]
-    assert not helpers_alive()
+    assert_one_helper_ran(started, ran_on)
 
 
 def test_an_error_in_the_helpers_half_reaches_the_caller(monkeypatch):
     ds = noisy_linear_dataset(np.random.default_rng(101), n=200, m=120, flip=0.1, density=0.1)
-    split_on_two_cpus(monkeypatch, floor=0)
+    started, ran_on = split_on_two_cpus(monkeypatch, floor=0)
     real_kernel = linsys_module._csr_matvec
     halves = []
 
@@ -610,7 +612,7 @@ def test_an_error_in_the_helpers_half_reaches_the_caller(monkeypatch):
         mpm_train(ds, MpmConfig(sr=0.1))
     # the calling thread did its half of the failed product and no more
     assert halves.count(False) == 5
-    assert not helpers_alive()
+    assert_one_helper_ran(started, ran_on)
 
 
 def test_one_cpu_trains_without_a_thread(monkeypatch):
